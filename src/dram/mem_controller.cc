@@ -261,17 +261,15 @@ MemoryController::tick(Cycle now)
 
     // Idle gate: with nothing queued and no drain batch open,
     // scheduleStep cannot issue or change state — skip it.
-    if (pendingReadCount == 0 && pendingWriteCount == 0 &&
-        writeDrainRemaining == 0) {
+    if (schedulerIdle())
         return;
-    }
 
     // Issue at most one request per bus cycle, and never run the
     // command stream more than a couple of bursts ahead of the data
     // bus: a real controller's scheduling window stays adaptive, and
     // locking decisions arbitrarily far into the future would defeat
     // FR-FCFS and the fairness counters.
-    if (timing.busFreeAt() <= bc + 2 * timing.params().tBURST)
+    if (inLookahead(bc))
         scheduleStep(bc);
 }
 

@@ -107,6 +107,22 @@ class MemoryController
      */
     Cycle nextEventAt(Cycle now) const;
 
+    /**
+     * Whether tick(@p now) would run a scheduling step: @p now is a
+     * bus edge, a request is queued or a write drain is open, and the
+     * command stream is inside its look-ahead window. A cheap hint for
+     * the parallel engine's phase gating (every other tick only
+     * advances the bus-edge counters); it never decides what tick()
+     * does.
+     */
+    bool
+    scheduleDue(Cycle now) const
+    {
+        const unsigned ratio = timing.params().busRatio;
+        return now % ratio == 0 && !schedulerIdle() &&
+               inLookahead(now / ratio);
+    }
+
     /** Drain reads whose data is available by @p now. */
     std::vector<CompletedRead> popCompleted(Cycle now);
 
@@ -221,6 +237,23 @@ class MemoryController
         Cycle enqueued;
         DramCoord coord;
     };
+
+    /** Nothing queued and no drain batch open: scheduleStep cannot
+     *  issue or change state. */
+    bool
+    schedulerIdle() const
+    {
+        return pendingReadCount == 0 && pendingWriteCount == 0 &&
+               writeDrainRemaining == 0;
+    }
+
+    /** The command stream may run at most a couple of bursts ahead of
+     *  the data bus (see tick()). */
+    bool
+    inLookahead(BusCycle bc) const
+    {
+        return timing.busFreeAt() <= bc + 2 * timing.params().tBURST;
+    }
 
     /** One scheduling decision at bus cycle @p bc. Returns true if a
      *  request issued. */

@@ -1007,6 +1007,27 @@ MemHierarchy::commitEgress(Cycle now)
     }
 }
 
+bool
+MemHierarchy::coreIngressWork(CoreId core, Cycle now) const
+{
+    const CoreSide &cs = *sides[static_cast<std::size_t>(core)];
+    return !cs.wbToL2.empty() ||
+           (!cs.toL2.empty() && cs.toL2.front().readyAt <= now);
+}
+
+bool
+MemHierarchy::coreEgressWork(CoreId core, Cycle now) const
+{
+    const CoreSide &cs = *sides[static_cast<std::size_t>(core)];
+    if (cs.l2Fill.minReadyAt() <= now)
+        return true;
+    for (const Dl1Delivery &d : cs.dl1Due) {
+        if (d.at <= now)
+            return true;
+    }
+    return false;
+}
+
 Cycle
 MemHierarchy::nextEventAt(Cycle now) const
 {

@@ -116,7 +116,7 @@ class MemHierarchy : public CoreMemInterface
     //              for all cores: tickCoreEgress; commitEgress.
     // The per-core and per-channel phases touch only that core's /
     // channel's state (plus read-only probes of quiescent controllers
-    // and thread-confined core-0 stats), so System may run them
+    // and core-0 stats only side 0 writes), so System may run them
     // concurrently between the serial commit phases.
     void tickCoreIngress(CoreId core, Cycle now);
     void commitIngress(Cycle now);
@@ -124,6 +124,15 @@ class MemHierarchy : public CoreMemInterface
     void drainUncore(Cycle now);
     void tickCoreEgress(CoreId core, Cycle now);
     void commitEgress(Cycle now);
+
+    // Work hints for the per-core phases above (tickChannel's is
+    // MemoryController::scheduleDue): whether the phase would find
+    // anything due at @p now. System sends a phase to its worker pool
+    // only when enough items have work and otherwise runs it on the
+    // calling thread. The hints pick where the calls run, never which
+    // calls run, so they cannot change results.
+    bool coreIngressWork(CoreId core, Cycle now) const;
+    bool coreEgressWork(CoreId core, Cycle now) const;
 
     /**
      * Earliest cycle > @p now at which any uncore component can act

@@ -7,19 +7,60 @@
 namespace bop
 {
 
+namespace
+{
+
+/**
+ * Busy-poll budget before a waiter parks. About a microsecond of
+ * polling: enough to catch a partner that is mid-item on another
+ * CPU, and short enough that a waiter sharing its CPU with the worker
+ * it waits for yields almost at once.
+ */
+constexpr unsigned spinIterations = 64;
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/** Wait until @p a no longer holds @p old; returns the value seen. */
+std::uint32_t
+awaitChange(const std::atomic<std::uint32_t> &a, std::uint32_t old)
+{
+    for (unsigned i = 0; i < spinIterations; ++i) {
+        const std::uint32_t v = a.load(std::memory_order_acquire);
+        if (v != old)
+            return v;
+        cpuRelax();
+    }
+    for (;;) {
+        const std::uint32_t v = a.load(std::memory_order_acquire);
+        if (v != old)
+            return v;
+        a.wait(old, std::memory_order_acquire);
+    }
+}
+
+} // namespace
+
 WorkerPool::WorkerPool(unsigned workers_) : workers(workers_ ? workers_ : 1)
 {
     for (unsigned w = 1; w < workers; ++w)
-        helpers.emplace_back([this, w] { helperLoop(w); });
+        helpers.emplace_back([this] { helperLoop(); });
 }
 
 WorkerPool::~WorkerPool()
 {
-    {
-        std::lock_guard<std::mutex> lk(m);
-        stopping = true;
-    }
-    cvStart.notify_all();
+    // No run() is in flight (the owner is destroying us), so no item
+    // is outstanding and the descriptor may be written.
+    stopping.store(true, std::memory_order_relaxed);
+    epoch.fetch_add(1, std::memory_order_release);
+    epoch.notify_all();
     for (std::thread &t : helpers)
         t.join();
 }
@@ -27,10 +68,41 @@ WorkerPool::~WorkerPool()
 void
 WorkerPool::recordFailure(std::size_t item)
 {
-    std::lock_guard<std::mutex> lk(m);
+    std::lock_guard<std::mutex> lk(failureMutex);
     if (!failure || item < failureItem) {
         failure = std::current_exception();
         failureItem = item;
+    }
+}
+
+void
+WorkerPool::claimItems(std::uint32_t tag)
+{
+    std::uint64_t c = cursor.load(std::memory_order_relaxed);
+    for (;;) {
+        if (static_cast<std::uint32_t>(c >> 32) != tag)
+            return; // the epoch is over: every item was claimed
+        // Acquire pairs with the caller's release store of jobItems:
+        // a count from a newer epoch proves that epoch's cursor store
+        // precedes our CAS, which then fails on the stale tag instead
+        // of claiming an item past the end of our epoch.
+        const std::size_t i = static_cast<std::uint32_t>(c);
+        if (i >= jobItems.load(std::memory_order_acquire))
+            return;
+        if (!cursor.compare_exchange_weak(c, c + 1,
+                                          std::memory_order_relaxed))
+            continue; // c now holds the fresh cursor
+        // A throwing item must not abandon the epoch — the caller
+        // waits for every item — so the exception is parked and
+        // rethrown by the caller after the barrier.
+        try {
+            job(jobCtx, i);
+        } catch (...) {
+            recordFailure(i);
+        }
+        if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            pending.notify_one();
+        c = cursor.load(std::memory_order_relaxed);
     }
 }
 
@@ -43,83 +115,48 @@ WorkerPool::runImpl(std::size_t items, Trampoline call, void *ctx)
         return;
     }
 
+    const std::uint32_t tag = epoch.load(std::memory_order_relaxed) + 1;
+    job = call;
+    jobCtx = ctx;
+    pending.store(static_cast<std::uint32_t>(items),
+                  std::memory_order_relaxed);
+    // The cursor moves to the new tag before the item count changes
+    // (see claimItems): a helper still draining the previous epoch
+    // must never pair the old tag with the new, larger count.
+    cursor.store(std::uint64_t{tag} << 32, std::memory_order_relaxed);
+    jobItems.store(items, std::memory_order_release);
+    epoch.store(tag, std::memory_order_release);
+    epoch.notify_all();
+
+    // The caller claims items too, from the start: with helpers parked
+    // it may finish the whole epoch before the first one wakes.
+    claimItems(tag);
+
+    for (std::uint32_t left = pending.load(std::memory_order_acquire);
+         left != 0;)
+        left = awaitChange(pending, left);
+
+    // Every item's decrement happened-before the acquire above, so
+    // the failure slot is quiescent; the lock is for form.
+    std::exception_ptr e;
     {
-        std::lock_guard<std::mutex> lk(m);
-        job = call;
-        jobCtx = ctx;
-        jobItems = items;
-        pending = workers - 1;
-        failure = nullptr;
+        std::lock_guard<std::mutex> lk(failureMutex);
+        e.swap(failure);
         failureItem = 0;
-        ++epoch;
     }
-    cvStart.notify_all();
-
-    // The caller is worker 0: it takes its own item stripe instead of
-    // blocking, so a 1-item phase never pays a thread hand-off. A
-    // throwing item must not abandon the epoch — the helpers still
-    // expect the barrier — so the exception is parked and rethrown
-    // after everyone arrives.
-    for (std::size_t i = 0; i < items; i += workers) {
-        try {
-            call(ctx, i);
-        } catch (...) {
-            recordFailure(i);
-            break;
-        }
-    }
-
-    std::unique_lock<std::mutex> lk(m);
-    cvDone.wait(lk, [this] { return pending == 0; });
-    job = nullptr;
-    jobCtx = nullptr;
-    if (failure) {
-        std::exception_ptr e = failure;
-        failure = nullptr;
-        lk.unlock();
+    if (e)
         std::rethrow_exception(e);
-    }
 }
 
 void
-WorkerPool::helperLoop(unsigned self)
+WorkerPool::helperLoop()
 {
-    std::uint64_t seen = 0;
+    std::uint32_t seen = 0;
     for (;;) {
-        Trampoline call = nullptr;
-        void *ctx = nullptr;
-        std::size_t items = 0;
-        {
-            std::unique_lock<std::mutex> lk(m);
-            cvStart.wait(lk, [this, seen] {
-                return stopping || epoch != seen;
-            });
-            if (stopping)
-                return;
-            seen = epoch;
-            call = job;
-            ctx = jobCtx;
-            items = jobItems;
-        }
-
-        // As in runImpl: park the exception, finish the barrier. The
-        // helper drops the rest of its stripe — with one item already
-        // failed the epoch's result is void anyway — but it must still
-        // report done or the caller would wait forever.
-        for (std::size_t i = self; i < items; i += workers) {
-            try {
-                call(ctx, i);
-            } catch (...) {
-                recordFailure(i);
-                break;
-            }
-        }
-
-        {
-            std::lock_guard<std::mutex> lk(m);
-            if (--pending == 0)
-                cvDone.notify_one();
-        }
+        seen = awaitChange(epoch, seen);
+        if (stopping.load(std::memory_order_relaxed))
+            return;
+        claimItems(seen);
     }
 }
 

@@ -2,23 +2,35 @@
  * @file
  * Fixed-size worker pool for System's barrier-synchronized parallel
  * epochs. The pool owns T-1 persistent helper threads; the calling
- * thread participates as worker 0, so run() costs no hand-off when
+ * thread participates as a worker, so run() costs no hand-off when
  * T == 1 and the main thread is never parked while helpers work.
  *
- * Work assignment is static and deterministic: item i runs on worker
- * i mod T. The items of one run() must be mutually independent (they
- * execute concurrently with no ordering); run() returns only after
- * every item completed, which is the epoch barrier.
+ * The items of one run() must be mutually independent (they execute
+ * concurrently with no ordering); run() returns only after every item
+ * completed, which is the epoch barrier. Workers claim items from a
+ * shared cursor rather than owning fixed stripes, so which thread runs
+ * an item is up to the schedule — results cannot depend on it, since
+ * the items are independent.
  *
- * Helpers block on a condition variable between epochs rather than
- * spinning: the simulator often runs on machines (and CI containers)
- * with fewer hardware threads than workers, where a spinning helper
- * would steal the very CPU the active worker needs.
+ * The barrier is three atomics: an epoch counter the caller bumps to
+ * publish work, a claim cursor tagged with that epoch, and a count of
+ * items not yet finished. Waiters spin for a short, fixed number of
+ * iterations and then park in std::atomic::wait (a futex on Linux);
+ * notify costs no system call while nobody is parked. Epochs are often
+ * only a few microseconds of work — less than it takes to wake a
+ * parked thread on another CPU — which is why the caller does not wait
+ * for helpers to arrive: it claims items itself from the start, and a
+ * helper that wakes late finds the cursor drained and parks again. The
+ * spin stays bounded because the simulator often shares its CPUs with
+ * other processes (CI containers, farm workers, concurrent runs): a
+ * helper spinning through its timeslice would steal the very CPU the
+ * active worker needs.
  */
 
 #ifndef BOP_SIM_PARALLEL_HH
 #define BOP_SIM_PARALLEL_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -62,17 +74,16 @@ class WorkerPool
     unsigned workerCount() const { return workers; }
 
     /**
-     * Execute fn(i) for every i in [0, items), item i on worker
-     * i mod workerCount(), and return once all completed. The functor
-     * is invoked by multiple threads concurrently and must only touch
-     * state disjoint between items (or read-only).
+     * Execute fn(i) for every i in [0, items), each exactly once on
+     * some worker, and return once all completed. The functor is
+     * invoked by multiple threads concurrently and must only touch
+     * state disjoint between items (or read-only). @p items must be
+     * below 2^32 (the claim cursor and pending count are 32-bit).
      *
-     * If any item throws, the epoch still runs to its barrier (a
-     * worker that catches stops executing its remaining stripe items,
-     * but no worker leaves the epoch early, so the pool stays sound),
-     * and run() rethrows the exception of the smallest-indexed failed
-     * item on the calling thread. The pool remains usable for further
-     * run() calls afterwards.
+     * If any item throws, the remaining items still run and the epoch
+     * still completes its barrier (so the pool stays sound); run()
+     * then rethrows the exception of the smallest-indexed failed item
+     * on the calling thread. The pool remains usable afterwards.
      */
     template <typename F>
     void
@@ -90,37 +101,49 @@ class WorkerPool
     using Trampoline = void (*)(void *, std::size_t);
 
     void runImpl(std::size_t items, Trampoline call, void *ctx);
-    void helperLoop(unsigned self);
+    void helperLoop();
+    /** Claim and run items of epoch @p tag until none are left. */
+    void claimItems(std::uint32_t tag);
+    void recordFailure(std::size_t item);
 
-    /**
-     * Total workers including the caller. A plain member fixed before
-     * any helper spawns: helpers derive their item stride from it, and
-     * deriving it from helpers.size() instead would let an early
-     * helper observe the vector mid-construction and stride over
-     * other workers' items.
-     */
-    const unsigned workers;
+    const unsigned workers; ///< total workers including the caller
     std::vector<std::thread> helpers;
 
-    std::mutex m;
-    std::condition_variable cvStart; ///< epoch published
-    std::condition_variable cvDone;  ///< all helpers finished
+    /**
+     * The epoch's functor. Written by the caller while no item is
+     * outstanding, before the release store that publishes the epoch;
+     * read by a worker only after it claimed an item of that epoch —
+     * the caller cannot move on while that item is unfinished.
+     */
     Trampoline job = nullptr;
     void *jobCtx = nullptr;
-    std::size_t jobItems = 0;
-    std::uint64_t epoch = 0; ///< bumped per runImpl; helpers track it
-    unsigned pending = 0;    ///< helpers still working this epoch
-    bool stopping = false;
+    /** Item count of the current epoch. Atomic because a late helper
+     *  may read it while the caller already publishes the next epoch;
+     *  stored after the cursor so its claim then fails on the tag. */
+    std::atomic<std::size_t> jobItems{0};
+    /** Set at shutdown before the final epoch bump. Atomic because a
+     *  late helper may still be checking it for the previous epoch. */
+    std::atomic<bool> stopping{false};
+
+    /** Bumped once per pooled run() (and once at shutdown). 32 bits
+     *  because that is the width std::atomic::wait maps onto a futex;
+     *  it is only compared for equality, so wrap-around is fine. */
+    alignas(64) std::atomic<std::uint32_t> epoch{0};
+    /** Claim cursor: epoch tag in the high 32 bits, next unclaimed
+     *  item in the low 32. The tag keeps a helper that woke late for
+     *  one epoch from claiming an item of the next. */
+    alignas(64) std::atomic<std::uint64_t> cursor{0};
+    /** Items of the current epoch not yet finished. */
+    alignas(64) std::atomic<std::uint32_t> pending{0};
 
     /**
      * Exception of the smallest-indexed item that threw this epoch
      * (deterministic when several items fail concurrently); rethrown
-     * by runImpl after the barrier. Guarded by m.
+     * by runImpl after the barrier. Guarded by failureMutex.
      */
+    std::mutex failureMutex;
     std::exception_ptr failure;
     std::size_t failureItem = 0;
-
-    void recordFailure(std::size_t item);
 };
 
 /**

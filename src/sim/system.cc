@@ -35,6 +35,24 @@ threadsFromEnv(int cfg_threads)
     return n >= 1 ? n : cfg_threads;
 }
 
+/**
+ * Run @p fn over a phase's @p items: on @p pool when @p busy (the items
+ * with work) reaches its worker count, else inline in item order.
+ * Returns whether the pool ran it.
+ */
+template <typename F>
+bool
+runPhase(WorkerPool &pool, std::size_t items, std::size_t busy, F &&fn)
+{
+    if (busy >= pool.workerCount()) {
+        pool.run(items, fn);
+        return true;
+    }
+    for (std::size_t i = 0; i < items; ++i)
+        fn(i);
+    return false;
+}
+
 } // namespace
 
 RunStats
@@ -90,9 +108,14 @@ System::System(const SystemConfig &cfg_,
     // placeholders are refreshed before they are ever consulted.
     coreHorizon.assign(cores.size(), 0);
 
-    if (threads > 1) {
+    // The widest phase has max(cores, channels) items; workers beyond
+    // that would only ever park, and farm jobs running many Systems
+    // at once would multiply the idle threads.
+    const int widest = std::max(cfg.activeCores, cfg.numChannels);
+    const int workers = std::min(threads, widest);
+    if (workers > 1) {
         pool = std::make_unique<WorkerPool>(
-            static_cast<unsigned>(threads));
+            static_cast<unsigned>(workers));
         coreDue.assign(cores.size(), 1);
     }
 }
@@ -194,6 +217,7 @@ System::stepBatchedCores(Cycle at)
     const Cycle limit = std::min(hierHorizon, at + watchdogCycles);
     batchStopAt.assign(cores.size(), neverCycle);
     batchTargetAt = neverCycle;
+    ++epochs.batched;
 
     pool->run(cores.size(), [&](std::size_t c) {
         CoreModel &core = *cores[c];
@@ -214,7 +238,7 @@ System::stepBatchedCores(Cycle at)
                 stop = true;
             }
             if (c == 0 && core.retired() >= stopTarget) {
-                batchTargetAt = ticked; // item 0 runs on the caller
+                batchTargetAt = ticked; // only item 0 writes it
                 stop = true;
             }
             if (stop)
@@ -256,40 +280,55 @@ void
 System::stepParallel(bool hier_due)
 {
     const Cycle at = now;
+    const std::size_t numCores = cores.size();
+    bool pooled = false;
 
     // Epoch 1: due cores tick, and (hierarchy due) each core's ingress
     // stages run — both touch only that core's side of the hierarchy,
     // plus read-only probes of the quiescent controllers; L2 misses
     // are staged per side instead of crossing into the shared queues.
-    pool->run(cores.size(), [&](std::size_t c) {
+    std::size_t busy = 0;
+    for (std::size_t c = 0; c < numCores; ++c) {
+        busy += coreDue[c] ||
+                (hier_due &&
+                 hier.coreIngressWork(static_cast<CoreId>(c), at));
+    }
+    pooled |= runPhase(*pool, numCores, busy, [&](std::size_t c) {
         if (coreDue[c])
             cores[c]->tick(at);
         if (hier_due)
             hier.tickCoreIngress(static_cast<CoreId>(c), at);
     });
-    if (!hier_due)
-        return;
+    if (hier_due) {
+        // Serial: merge staged misses in core order, L3 arbitration.
+        hier.commitIngress(at);
 
-    // Serial: merge staged misses in core order, L3 arbitration.
-    hier.commitIngress(at);
+        // Epoch 2: the channel/bank pairs are mutually independent.
+        const int channels = hier.channelCount();
+        busy = 0;
+        for (int ch = 0; ch < channels; ++ch)
+            busy += hier.controller(ch).scheduleDue(at);
+        pooled |= runPhase(*pool, static_cast<std::size_t>(channels), busy,
+                           [&](std::size_t ch) {
+                               hier.tickChannel(static_cast<int>(ch), at);
+                           });
 
-    // Epoch 2: the channel/bank pairs are mutually independent.
-    pool->run(static_cast<std::size_t>(hier.channelCount()),
-              [&](std::size_t ch) {
-                  hier.tickChannel(static_cast<int>(ch), at);
-              });
+        // Serial: DRAM completions, L3 fill drain in global id order.
+        hier.drainUncore(at);
 
-    // Serial: DRAM completions, L3 fill drain in global id order.
-    hier.drainUncore(at);
+        // Epoch 3: per-core egress (L2/DL1 fills, completion callbacks —
+        // strictly core-local; L2 victims staged per side).
+        busy = 0;
+        for (std::size_t c = 0; c < numCores; ++c)
+            busy += hier.coreEgressWork(static_cast<CoreId>(c), at);
+        pooled |= runPhase(*pool, numCores, busy, [&](std::size_t c) {
+            hier.tickCoreEgress(static_cast<CoreId>(c), at);
+        });
 
-    // Epoch 3: per-core egress (L2/DL1 fills, completion callbacks —
-    // strictly core-local; L2 victims staged per side).
-    pool->run(cores.size(), [&](std::size_t c) {
-        hier.tickCoreEgress(static_cast<CoreId>(c), at);
-    });
-
-    // Serial: merge staged L2 victims in core order.
-    hier.commitEgress(at);
+        // Serial: merge staged L2 victims in core order.
+        hier.commitEgress(at);
+    }
+    ++(pooled ? epochs.pooled : epochs.inlined);
 }
 
 void

@@ -31,6 +31,21 @@ namespace bop
  */
 RunStats deltaStats(const RunStats &end, const RunStats &begin);
 
+/**
+ * How System executed its parallel epochs (observation only: the
+ * counts depend on the schedule, never the reverse). All zero on the
+ * serial path.
+ */
+struct EpochCounters
+{
+    /** Per-event epochs with at least one phase on the worker pool. */
+    std::uint64_t pooled = 0;
+    /** Per-event epochs run entirely on the calling thread. */
+    std::uint64_t inlined = 0;
+    /** Batched fast-forward core epochs (always on the pool). */
+    std::uint64_t batched = 0;
+};
+
 /** The simulated chip. */
 class System
 {
@@ -118,10 +133,22 @@ class System
     bool fastForwardEnabled() const { return fastForward; }
 
     /**
-     * Worker threads this System ticks on (cfg.numThreads, possibly
-     * overridden by BOP_THREADS). 1 = the serial path, no pool.
+     * Worker threads requested for this System (cfg.numThreads,
+     * possibly overridden by BOP_THREADS). 1 = the serial path, no
+     * pool. The pool itself is capped at the widest phase —
+     * max(active cores, channels) workers — since workers beyond it
+     * would never receive an item; see poolWorkers().
      */
     int threadCount() const { return threads; }
+
+    /** Workers the epoch pool actually runs (1 = no pool). */
+    int poolWorkers() const
+    {
+        return pool ? static_cast<int>(pool->workerCount()) : 1;
+    }
+
+    /** Cumulative epoch execution counts (tests, profiling). */
+    const EpochCounters &epochCounters() const { return epochs; }
 
     /** Progress window of the per-core deadlock watchdog. */
     static constexpr Cycle watchdogCycles = 1000000;
@@ -155,11 +182,11 @@ class System
      * Batched fast-forward core epochs: when the pool is active, a
      * retire target is set and the uncore is provably idle until
      * hierHorizon, one pool epoch advances every core through many
-     * successive events instead of paying the two-condition-variable
-     * epoch barrier per event. Each worker ticks its cores at their
-     * own horizons while (a) the core hands the uncore no new work
-     * (its toL2 depth is unchanged — cross-core timing stays exact)
-     * and (b) core 0 has not hit the retire target. Afterwards the
+     * successive events instead of paying the epoch barrier per
+     * event. Each worker ticks its cores at their own horizons while
+     * (a) the core hands the uncore no new work (its toL2 depth is
+     * unchanged — cross-core timing stays exact) and (b) core 0 has
+     * not hit the retire target. Afterwards the
      * clock rewinds to the earliest stop and the normal per-event path
      * replays from there, so simulated state and statistics are
      * bit-identical to the serial schedule. @p at is the entry event
@@ -177,6 +204,13 @@ class System
      * parallel phases touch disjoint per-core/per-channel state and
      * every cross-shard hand-off moves at a serial commit point in
      * global arrival order.
+     *
+     * Work gating: a phase goes to the pool only when at least
+     * workerCount() of its items have work (MemHierarchy's work
+     * hints). A typical event has one or two due cores and a few
+     * microseconds of work, less than one cross-CPU wake-up, so
+     * smaller phases run on the calling thread, in item order — the
+     * serial call sequence.
      */
     void stepParallel(bool hier_due);
 
@@ -187,8 +221,9 @@ class System
     Cycle now = 0;
     bool fastForward = true; ///< cfg.fastForward minus the env override
     int threads = 1;         ///< cfg.numThreads with BOP_THREADS applied
-    std::unique_ptr<WorkerPool> pool; ///< null when threads == 1
+    std::unique_ptr<WorkerPool> pool; ///< null when one worker suffices
     std::vector<char> coreDue; ///< per-core due flags for stepParallel
+    EpochCounters epochs;
 
     /**
      * Cached per-component horizons (fast-forward only). A component's

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
@@ -24,14 +25,33 @@ namespace bop
 namespace
 {
 
+/**
+ * Every case here sets its thread counts explicitly. A BOP_THREADS in
+ * the environment (the TSan CI job exports one for the other suites)
+ * would override them all, serial reference included, and collapse
+ * each comparison into threads-N against itself.
+ */
+class ClearThreadsEnv : public ::testing::Environment
+{
+  public:
+    void SetUp() override { unsetenv("BOP_THREADS"); }
+};
+
+[[maybe_unused]] ::testing::Environment *const clearThreadsEnv =
+    ::testing::AddGlobalTestEnvironment(new ClearThreadsEnv);
+
 RunStats
 runWith(SystemConfig cfg, const std::string &bench, int threads,
-        std::uint64_t warm = 2000, std::uint64_t measure = 10000)
+        std::uint64_t warm = 2000, std::uint64_t measure = 10000,
+        EpochCounters *epochs = nullptr)
 {
     cfg.numThreads = threads;
     System sys(cfg, makeTraces(bench, cfg));
     EXPECT_EQ(sys.threadCount(), threads);
-    return sys.run(warm, measure);
+    const RunStats stats = sys.run(warm, measure);
+    if (epochs)
+        *epochs = sys.epochCounters();
+    return stats;
 }
 
 /** Field-wise comparison so a failure names the diverging counter. */
@@ -75,19 +95,42 @@ expectStatsEqual(const RunStats &parallel, const RunStats &serial,
         << "(extend this comparison when adding RunStats fields)";
 }
 
+/**
+ * Serial vs threads 2/4/8. The engine runs a per-event phase on the
+ * calling thread unless at least workerCount() of its items have work
+ * (work gating), so each case must also prove it exercised the pool:
+ * at least one per-event epoch with a phase on the worker pool over
+ * its threaded runs, or the comparison would only pit the serial code
+ * against itself. The check spans the case's runs: a wide pool on a
+ * narrow chip (8 workers for two cores) may legitimately never fill a
+ * phase.
+ */
 void
 expectThreadEquivalence(SystemConfig cfg, const std::string &bench,
                         std::uint64_t warm = 2000,
                         std::uint64_t measure = 10000)
 {
-    const RunStats serial = runWith(cfg, bench, 1, warm, measure);
+    EpochCounters epochs;
+    const RunStats serial = runWith(cfg, bench, 1, warm, measure, &epochs);
+    EXPECT_EQ(epochs.pooled + epochs.inlined + epochs.batched, 0u)
+        << "the serial path must not count epochs";
+    std::uint64_t pooled = 0;
+    std::string profile;
     for (const int threads : {2, 4, 8}) {
         const RunStats parallel =
-            runWith(cfg, bench, threads, warm, measure);
+            runWith(cfg, bench, threads, warm, measure, &epochs);
         expectStatsEqual(parallel, serial,
                          bench + " " + cfg.describe() +
                              " threads=" + std::to_string(threads));
+        pooled += epochs.pooled;
+        profile += " threads=" + std::to_string(threads) + ": " +
+                   std::to_string(epochs.pooled) + " pooled/" +
+                   std::to_string(epochs.inlined) + " inline/" +
+                   std::to_string(epochs.batched) + " batched;";
     }
+    EXPECT_GE(pooled, 1u) << bench << " " << cfg.describe()
+                          << ": no per-event epoch reached the pool:"
+                          << profile;
 }
 
 TEST(ParallelTick, SingleCoreBankedL3)
@@ -152,6 +195,50 @@ TEST(ParallelTick, RandomizedConfigsMatchSerial)
         const std::string &bench = benches[rng() % benches.size()];
         expectThreadEquivalence(cfg, bench, 1500, 6000);
     }
+}
+
+TEST(ParallelTick, SixteenCoreEightChannelThrasher)
+{
+    // The shape the engine exists for: core 0 plus 15 thrasher cores
+    // on 8 channels (un-banked L3). Most events have one or two due
+    // cores, so nearly every phase runs inline and only the busy ones
+    // reach the pool — both halves must match the serial engine, with
+    // and without fast-forward.
+    SystemConfig cfg = baselineConfig(16, PageSize::FourKB);
+    cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
+    expectThreadEquivalence(cfg, "462.libquantum", 1000, 3000);
+    cfg.fastForward = false;
+    expectThreadEquivalence(cfg, "462.libquantum", 500, 1500);
+}
+
+TEST(ParallelTick, PoolCappedAtWidestPhase)
+{
+    // Workers beyond max(active cores, channels) could never receive
+    // an item, so the pool does not spawn them; the requested count
+    // is still what threadCount() (and run records) report.
+    SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
+    cfg.numThreads = 4;
+    {
+        System sys(cfg, makeTraces("456.hmmer", cfg)); // 1 core, 2 ch
+        EXPECT_EQ(sys.threadCount(), 4);
+        EXPECT_EQ(sys.poolWorkers(), 2);
+    }
+    cfg.numChannels = 1;
+    {
+        System sys(cfg, makeTraces("456.hmmer", cfg));
+        EXPECT_EQ(sys.threadCount(), 4);
+        EXPECT_EQ(sys.poolWorkers(), 1); // no phase has two items
+        const RunStats threaded = sys.run(1000, 4000);
+        cfg.numThreads = 1;
+        EXPECT_TRUE(threaded == runWith(cfg, "456.hmmer", 1, 1000, 4000));
+        EXPECT_EQ(sys.epochCounters().pooled, 0u);
+    }
+    cfg = baselineConfig(16, PageSize::FourKB);
+    cfg.numChannels = 8;
+    cfg.numThreads = 64;
+    System wide(cfg, makeTraces("456.hmmer", cfg));
+    EXPECT_EQ(wide.threadCount(), 64);
+    EXPECT_EQ(wide.poolWorkers(), 16);
 }
 
 TEST(ParallelTick, ThreadsEnvOverride)
