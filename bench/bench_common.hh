@@ -97,10 +97,10 @@ parseBenchOptions(int argc, char **argv, std::string *positional = nullptr)
                          "sweeping: journaled jobs commit\n"
                       << "                  verbatim, only the rest "
                          "simulate\n"
-                      << "  --retries N     re-enqueue transient (kind "
-                         "\"io\") failures up to N times\n"
-                      << "                  with exponential backoff "
-                         "(default BOP_RETRIES or 0)\n";
+                      << "  --retries N     retry transient (kind "
+                         "\"io\") failures in place up to N\n"
+                      << "                  times with exponential "
+                         "backoff (default BOP_RETRIES or 0)\n";
             std::exit(arg == "--help" || arg == "-h" ? 0 : 2);
         }
     }

@@ -11,7 +11,12 @@
  * 16 -> 8), and reports per-core progress so fairness is visible, not
  * just core-0 IPC.
  *
- * Usage: ext_scaling [--json PATH] [benchmark]  (default 462.libquantum)
+ * Usage: ext_scaling [--json PATH] [--jobs N] [benchmark]
+ *        (default 462.libquantum)
+ *
+ * --journal/--resume/--retries are refused (exit 2): the design points
+ * here run on a TaskPool of their own, outside the sweep farm's job
+ * path, so nothing would journal, replay or retry them.
  */
 
 #include "bench_common.hh"
@@ -49,9 +54,18 @@ main(int argc, char **argv)
 
     std::string bench = "462.libquantum";
     const BenchOptions opts = parseBenchOptions(argc, argv, &bench);
+    if (!opts.journalPath.empty() || !opts.resumePath.empty() ||
+        opts.retries >= 0) {
+        std::cerr << argv[0]
+                  << ": --journal/--resume/--retries are not supported: "
+                     "this bench runs its Systems outside the sweep "
+                     "farm (it needs per-core retire counts), so its "
+                     "records are never journaled, replayed or "
+                     "retried\n";
+        return 2;
+    }
 
     ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
     benchHeader("Scaling study: BO under contention at 1-16 cores "
                 "(benchmark " + bench + " on core 0, thrashers elsewhere)",
                 runner);

@@ -24,9 +24,11 @@
 
 #include "harness/checkpoint.hh"
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -255,48 +257,48 @@ System::saveCheckpointBytes()
 }
 
 void
-System::saveCheckpoint(const std::string &path)
+writeFileAtomically(const std::string &path,
+                    const std::vector<std::uint8_t> &bytes,
+                    const std::string &what, bool shortWrite)
 {
-    // Atomic save: write everything to path.tmp, fsync, then rename
-    // over the target. A crash (or injected fault) anywhere before
-    // the rename leaves the previous checkpoint intact and never a
-    // plausible-looking truncated file at the target path; the tmp
-    // file is removed on every failure path.
-    const std::vector<std::uint8_t> bytes = saveCheckpointBytes();
-    const std::string tmp = path + ".tmp";
+    static std::atomic<unsigned long> serial{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(serial++);
 
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f) {
-        throw std::runtime_error("cannot open checkpoint file for "
-                                 "writing: " + tmp);
+        throw std::runtime_error("cannot open " + what +
+                                 " file for writing: " + tmp);
     }
+    const std::size_t written = std::fwrite(
+        bytes.data(), 1, shortWrite ? bytes.size() / 2 : bytes.size(), f);
+    const bool synced = std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
+    const bool closed = std::fclose(f) == 0;
 
-    // Injection point ckpt_write_short (docs/ROBUSTNESS.md): behave
-    // like a disk that filled up mid-save — half the bytes land, then
-    // the write fails.
-    std::size_t to_write = bytes.size();
-    if (FaultPlan::global().fireCounted("ckpt_write_short"))
-        to_write = bytes.size() / 2;
-
-    const std::size_t written =
-        std::fwrite(bytes.data(), 1, to_write, f);
-    const bool flushed = std::fflush(f) == 0;
-    const bool synced = flushed && ::fsync(fileno(f)) == 0;
-    std::fclose(f);
-
-    if (written != bytes.size() || !synced) {
+    if (written != bytes.size() || !synced || !closed) {
         std::remove(tmp.c_str());
         throw std::runtime_error(
-            "short write to checkpoint: " + path + " (" +
+            "short write to " + what + ": " + path + " (" +
             std::to_string(written) + "/" +
             std::to_string(bytes.size()) + " bytes written)");
     }
-
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
-        throw std::runtime_error("cannot rename checkpoint into place: " +
-                                 tmp + " -> " + path);
+        throw std::runtime_error("cannot rename " + what +
+                                 " into place: " + tmp + " -> " + path);
     }
+}
+
+void
+System::saveCheckpoint(const std::string &path)
+{
+    // Atomic save: a crash (or injected fault) anywhere before the
+    // rename leaves the previous checkpoint intact and never a
+    // plausible-looking truncated file at the target path. Injection
+    // point ckpt_write_short (docs/ROBUSTNESS.md): behave like a disk
+    // that filled up mid-save.
+    writeFileAtomically(path, saveCheckpointBytes(), "checkpoint",
+                        FaultPlan::global().fireCounted("ckpt_write_short"));
 }
 
 void

@@ -42,6 +42,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 namespace bop
 {
@@ -70,6 +72,19 @@ constexpr std::uint32_t checkpointSectionCount = 5;
  * format tests.
  */
 std::uint64_t checkpointFingerprint(System &sys);
+
+/**
+ * Atomically replace @p path with @p bytes: write a sibling tmp file
+ * (`<path>.tmp.<pid>.<n>`, unique per process and call), fflush +
+ * fsync it, then rename it over @p path. On any failure the tmp file
+ * is removed, @p path keeps its previous content, and a
+ * std::runtime_error names @p what, the paths and — for a short
+ * write — the bytes written. @p shortWrite writes only half the
+ * bytes (a disk that filled up mid-write; fault injection).
+ */
+void writeFileAtomically(const std::string &path,
+                         const std::vector<std::uint8_t> &bytes,
+                         const std::string &what, bool shortWrite = false);
 
 } // namespace bop
 

@@ -1,6 +1,7 @@
 #include "harness/experiment.hh"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,11 +10,11 @@
 #include <thread>
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include "common/fault.hh"
 #include "common/serializer.hh"
 #include "dram/address_map.hh"
+#include "harness/checkpoint.hh"
 #include "trace/workloads.hh"
 
 namespace bop
@@ -147,13 +148,6 @@ ExperimentRunner::retriesFromEnv()
     return n < 0 ? 0 : n;
 }
 
-double
-ExperimentRunner::backoffFromEnv()
-{
-    const char *v = std::getenv("BOP_RETRY_BACKOFF");
-    return v != nullptr ? std::strtod(v, nullptr) : 0.05;
-}
-
 std::string
 ExperimentRunner::ckptDirFromEnv()
 {
@@ -181,6 +175,9 @@ ExperimentRunner::cacheEntryPath(const std::string &pkey) const
 namespace
 {
 constexpr char cacheMagic[8] = {'B', 'O', 'P', 'C', 'A', 'C', 'H', '1'};
+
+/** Sleep before the first retry; each further retry doubles it. */
+constexpr double retryBackoffSeconds = 0.05;
 } // namespace
 
 bool
@@ -242,36 +239,23 @@ ExperimentRunner::saveCacheEntry(
 {
     ::mkdir(ckptDir.c_str(), 0777); // best effort; EEXIST is fine
     const std::string path = cacheEntryPath(pkey);
-    const std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        std::fprintf(stderr,
-                     "checkpoint-cache: cannot write '%s' (cache "
-                     "disabled for this entry)\n",
-                     tmp.c_str());
-        return;
-    }
-    const std::uint32_t keyLen =
-        static_cast<std::uint32_t>(pkey.size());
-    bool ok = std::fwrite(cacheMagic, 1, sizeof cacheMagic, f) ==
-                  sizeof cacheMagic &&
-              std::fwrite(&keyLen, 1, 4, f) == 4 &&
-              std::fwrite(pkey.data(), 1, pkey.size(), f) == pkey.size() &&
-              std::fwrite(container.data(), 1, container.size(), f) ==
-                  container.size() &&
-              std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-    ok = (std::fclose(f) == 0) && ok;
+    const auto keyLen = static_cast<std::uint32_t>(pkey.size());
+    std::vector<std::uint8_t> entry(cacheMagic,
+                                    cacheMagic + sizeof cacheMagic);
+    const auto *keyLenBytes = reinterpret_cast<const std::uint8_t *>(&keyLen);
+    entry.insert(entry.end(), keyLenBytes, keyLenBytes + 4);
+    entry.insert(entry.end(), pkey.begin(), pkey.end());
+    entry.insert(entry.end(), container.begin(), container.end());
     // Atomic publish: the entry appears under its final name only
     // complete and fsynced, so a crashed writer leaves nothing a
-    // reader could mistake for a checkpoint (same discipline as
-    // System::saveCheckpoint).
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
+    // reader could mistake for a checkpoint.
+    try {
+        writeFileAtomically(path, entry, "checkpoint-cache entry");
+    } catch (const std::runtime_error &e) {
         std::fprintf(stderr,
                      "checkpoint-cache: failed to persist '%s' "
-                     "(continuing without)\n",
-                     path.c_str());
+                     "(continuing without): %s\n",
+                     path.c_str(), e.what());
     }
 }
 
@@ -323,6 +307,46 @@ ExperimentRunner::reserveJobIndex()
 {
     std::lock_guard<std::mutex> lk(m);
     return nextJobIndex++;
+}
+
+template <typename Value, typename Produce, typename OnPublish>
+std::pair<const Value *, bool>
+ExperimentRunner::shareOnce(std::map<std::string, Value> &table,
+                            std::set<std::string> &claims,
+                            const std::string &key, Produce produce,
+                            OnPublish onPublish) const
+{
+    std::unique_lock<std::mutex> lk(m);
+    for (;;) {
+        auto it = table.find(key);
+        if (it != table.end())
+            return {&it->second, false};
+        if (claims.insert(key).second)
+            break; // claimed: produce outside the lock
+        // Someone else is producing this key: wait for their
+        // publication instead of duplicating the work.
+        cv.wait(lk);
+    }
+    lk.unlock();
+
+    Value value;
+    try {
+        value = produce();
+    } catch (...) {
+        // Release the claim so waiters retry (and likely hit the same
+        // error themselves) instead of blocking forever.
+        lk.lock();
+        claims.erase(key);
+        cv.notify_all();
+        throw;
+    }
+    lk.lock();
+    const Value &published =
+        table.emplace(key, std::move(value)).first->second;
+    onPublish(published);
+    claims.erase(key);
+    cv.notify_all();
+    return {&published, true};
 }
 
 RunRecord
@@ -385,33 +409,15 @@ ExperimentRunner::simulateRecord(const std::string &benchmark,
         // restore it and pay only the measurement window. Restore
         // bit-identity makes both paths produce identical stats.
         const std::string pkey = prefixKey(benchmark, cfg, b);
-        const std::vector<std::uint8_t> *bytes = nullptr;
-        bool producer = false;
-        {
-            std::unique_lock<std::mutex> lk(m);
-            for (;;) {
-                auto it = prefixCache.find(pkey);
-                if (it != prefixCache.end()) {
-                    bytes = &it->second;
-                    break;
-                }
-                if (prefixInflight.insert(pkey).second) {
-                    producer = true;
-                    break;
-                }
-                // Another worker is simulating this prefix: wait for
-                // its publication instead of duplicating the warmup.
-                cv.wait(lk);
-            }
-        }
-        if (producer) {
-            try {
-                // Inside the try: an injected producer throw must
-                // release the prefix latch exactly like a real warmup
-                // failure, so waiters retry as producers (falling
-                // back to a cold warmup) instead of deadlocking.
+        bool fromDisk = false;
+        const auto [bytes, produced] = shareOnce(
+            prefixCache, prefixInflight, pkey,
+            [&] {
+                // An injected producer throw releases the prefix
+                // latch exactly like a real warmup failure, so
+                // waiters retry as producers (falling back to a cold
+                // warmup) instead of deadlocking.
                 throwInjected();
-                bool fromDisk = false;
                 std::vector<std::uint8_t> warm;
                 if (!ckptDir.empty()) {
                     // Disk-backed prefix cache (BOP_CKPT_DIR): another
@@ -420,10 +426,8 @@ ExperimentRunner::simulateRecord(const std::string &benchmark,
                     // the System untouched, so the cold-warmup
                     // fallback below starts from pristine state.
                     try {
-                        std::vector<std::uint8_t> entry;
-                        if (loadCacheEntry(pkey, entry)) {
-                            system.restoreCheckpointBytes(entry);
-                            warm = std::move(entry);
+                        if (loadCacheEntry(pkey, warm)) {
+                            system.restoreCheckpointBytes(warm);
                             fromDisk = true;
                         }
                     } catch (const CheckpointError &e) {
@@ -442,21 +446,13 @@ ExperimentRunner::simulateRecord(const std::string &benchmark,
                         saveCacheEntry(pkey, warm); // overwrites a
                                                     // refused entry
                 }
-                std::lock_guard<std::mutex> lk(m);
-                prefixCache.emplace(pkey, std::move(warm));
-                prefixInflight.erase(pkey);
+                return warm;
+            },
+            [&](const std::vector<std::uint8_t> &) {
                 if (!fromDisk)
                     ++prefixSims;
-                cv.notify_all();
-            } catch (...) {
-                // Release the prefix latch so waiters retry (and hit
-                // the same error themselves) instead of hanging.
-                std::lock_guard<std::mutex> lk(m);
-                prefixInflight.erase(pkey);
-                cv.notify_all();
-                throw;
-            }
-        } else {
+            });
+        if (!produced) {
             throwInjected();
             // prefixCache nodes are never erased, so the pointer
             // stays valid outside the lock.
@@ -483,23 +479,57 @@ ExperimentRunner::simulateRecord(const std::string &benchmark,
 }
 
 void
-ExperimentRunner::commitJob(const std::string &key, RunRecord record)
+ExperimentRunner::commitRecord(const std::string &key, RunRecord record)
 {
-    // Write-ahead: the journal line is durable before the record is
-    // acknowledged in memory, so a crash after this point loses
-    // nothing and a crash before it merely re-simulates the job.
-    journalCommit(key, record);
     std::lock_guard<std::mutex> lk(m);
     runRecords.push_back(record);
-    cache.emplace(key, std::move(record));
+    if (!record.errored())
+        cache.emplace(key, std::move(record));
 }
 
-void
-ExperimentRunner::commitError(const std::string &key, RunRecord record)
+RunRecord
+ExperimentRunner::runJob(const JobSpec &job, long jobIndex, int jobs,
+                         std::chrono::steady_clock::time_point submitted,
+                         bool memoise)
 {
-    journalCommit(key, record);
-    std::lock_guard<std::mutex> lk(m);
-    runRecords.push_back(std::move(record));
+    const double queueWait =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      submitted)
+            .count();
+    // Containment: a failing attempt becomes this job's error record,
+    // so the rest of the batch keeps going and the failure lands in
+    // the job's own slot/answer.
+    FaultScope scope(jobIndex);
+    for (int attempt = 1;; ++attempt) {
+        try {
+            RunRecord record =
+                memoise ? run(job.benchmark, job.cfg, job.budget, job.share)
+                        : simulateRecord(job.benchmark, job.cfg,
+                                         job.budget, job.share);
+            record.jobs = jobs;
+            record.jobIndex = jobIndex;
+            record.queueWaitSeconds = queueWait;
+            record.attempts = attempt;
+            return record;
+        } catch (const std::exception &e) {
+            // Bounded retry: a transient failure re-runs in place
+            // through the never-memoise path (a failed run() released
+            // its latch); any other failure answers at once.
+            if (!transientFaultKind(faultKindOf(e)) || attempt > retries_) {
+                RunRecord record;
+                record.workload = job.benchmark;
+                record.config = job.cfg.describe();
+                record.jobs = jobs;
+                record.jobIndex = jobIndex;
+                record.errorKind = faultKindOf(e);
+                record.errorDetail = e.what();
+                record.attempts = attempt;
+                return record;
+            }
+        }
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            std::ldexp(retryBackoffSeconds, attempt - 1)));
+    }
 }
 
 const RunStats &
@@ -520,49 +550,18 @@ ExperimentRunner::run(const std::string &benchmark, const SystemConfig &cfg,
                       const Budget &b, bool share_warmup)
 {
     const std::string key = jobKey(benchmark, cfg, b, share_warmup);
-
-    std::unique_lock<std::mutex> lk(m);
-    for (;;) {
-        auto it = cache.find(key);
-        if (it != cache.end())
-            return it->second;
-        if (inflight.insert(key).second)
-            break; // we won the latch; simulate outside the lock
-        // Someone else is simulating this exact design point: wait
-        // for their commit instead of duplicating the work.
-        cv.wait(lk);
-    }
-    lk.unlock();
-
-    RunRecord record;
-    try {
-        record = simulateRecord(benchmark, cfg, b, share_warmup);
-    } catch (...) {
-        // Release the latch so waiters retry (and likely rethrow the
-        // same error themselves) instead of blocking forever.
-        lk.lock();
-        inflight.erase(key);
-        cv.notify_all();
-        throw;
-    }
-
-    try {
-        // Write-ahead, still outside the memo lock; a failed journal
-        // append must release the in-flight latch like any other
-        // failure so waiters do not hang on a dead commit.
-        journalCommit(key, record);
-    } catch (...) {
-        lk.lock();
-        inflight.erase(key);
-        cv.notify_all();
-        throw;
-    }
-    lk.lock();
-    runRecords.push_back(record);
-    auto committed = cache.emplace(key, std::move(record)).first;
-    inflight.erase(key);
-    cv.notify_all();
-    return committed->second;
+    auto simulate = [&] {
+        RunRecord record = simulateRecord(benchmark, cfg, b, share_warmup);
+        // Write-ahead, outside the memo lock: a failed append releases
+        // the latch like any other failure, so waiters never hang on a
+        // dead commit.
+        journalRecord(key, record);
+        return record;
+    };
+    auto commit = [this](const RunRecord &record) {
+        runRecords.push_back(record);
+    };
+    return *shareOnce(cache, inflight, key, simulate, commit).first;
 }
 
 double

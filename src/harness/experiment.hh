@@ -20,6 +20,7 @@
 #ifndef BOP_HARNESS_EXPERIMENT_HH
 #define BOP_HARNESS_EXPERIMENT_HH
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -45,6 +46,18 @@ struct Budget
 
     /** Defaults overridden by BOP_WARMUP / BOP_INSTR. */
     static Budget fromEnv();
+};
+
+/**
+ * One job: a design point plus the per-job choices a `--serve` line or
+ * bopsim's flags carry (harness/job_fields.hh is that vocabulary).
+ */
+struct JobSpec
+{
+    std::string benchmark;
+    SystemConfig cfg;
+    Budget budget;
+    bool share = false; ///< warmup-prefix sharing for this job
 };
 
 /**
@@ -82,7 +95,7 @@ class ExperimentRunner
     explicit ExperimentRunner(Budget budget_ = Budget::fromEnv())
         : budget(budget_), shareWarmup(sharingFromEnv()),
           jobTimeout(timeoutFromEnv()), retries_(retriesFromEnv()),
-          retryBackoffBase(backoffFromEnv()), ckptDir(ckptDirFromEnv())
+          ckptDir(ckptDirFromEnv())
     {
     }
 
@@ -141,33 +154,22 @@ class ExperimentRunner
 
     /**
      * Bounded retry for transient failures (`--retries N` /
-     * BOP_RETRIES): a job whose error kind is transient
-     * (transientFaultKind(), currently "io") is re-enqueued through
-     * the never-memoise path up to N more times with exponential
-     * backoff; records carry the final `attempts` count. Deterministic
-     * failure kinds (timeout/checkpoint/simulation) never retry —
-     * docs/ROBUSTNESS.md has the decision table.
+     * BOP_RETRIES): runJob() re-runs a job whose error kind is
+     * transient (transientFaultKind(), currently "io") in place, up
+     * to N more times, sleeping 50 ms * 2^(attempt-2) before attempt
+     * `attempt`; records carry the final `attempts` count.
+     * Deterministic failure kinds (timeout/checkpoint/simulation)
+     * never retry — docs/ROBUSTNESS.md has the decision table.
      */
     void setRetries(int n) { retries_ = n < 0 ? 0 : n; }
     int retries() const { return retries_; }
 
     /**
-     * Backoff before retry attempt @p attempt (2 = first retry):
-     * base * 2^(attempt-2) seconds, base 50 ms or BOP_RETRY_BACKOFF.
-     */
-    double retryBackoffSeconds(int attempt) const
-    {
-        double backoff = retryBackoffBase;
-        for (int i = 2; i < attempt; ++i)
-            backoff *= 2.0;
-        return backoff;
-    }
-
-    /**
      * Attach a write-ahead result journal (`--journal FILE`): every
-     * committed run/error record is appended with fsync-on-commit
-     * framing before the farm acknowledges it (journal.hh). Throws on
-     * open failure or a budget mismatch with an existing journal.
+     * farm run/error record is appended with fsync-on-commit framing
+     * as soon as its job completes, every memoised run() before it is
+     * acknowledged (journal.hh). Throws on open failure or a budget
+     * mismatch with an existing journal.
      */
     void attachJournal(const std::string &path)
     {
@@ -255,10 +257,10 @@ class ExperimentRunner
     long reserveJobIndex();
 
     /**
-     * Simulate one design point without touching any shared state:
-     * the leaf the sweep farm runs on worker threads. Returns a
-     * record with stats, threads and wall clock filled in; memo/
-     * record bookkeeping is the caller's job (commitJob()).
+     * Simulate one design point without touching the memo or the
+     * record list: the leaf a sweep-farm job runs. Returns a record
+     * with stats, threads and wall clock filled in; memo/record
+     * bookkeeping is the caller's job (commitRecord()).
      */
     RunRecord simulateRecord(const std::string &benchmark,
                              const SystemConfig &cfg,
@@ -272,25 +274,44 @@ class ExperimentRunner
                              const SystemConfig &cfg, const Budget &b,
                              bool share_warmup) const;
 
-    RunRecord
-    simulateRecord(const std::string &benchmark,
-                   const SystemConfig &cfg) const
-    {
-        return simulateRecord(benchmark, cfg, budget);
-    }
-
-    /** Commit a farm job: append its record and memoise it under key
-     *  (and journal it, unless it was itself replayed from the
-     *  journal). */
-    void commitJob(const std::string &key, RunRecord record);
+    /**
+     * Run one farm or serve job — the single job path. Opens the
+     * job's FaultScope, runs an attempt (memoised run() when
+     * @p memoise, as serve does; simulateRecord() otherwise, as the
+     * farm does, which commits at drain), retries transient failures
+     * in place (setRetries()), and returns the record stamped with
+     * jobs/job_index/queue_wait_seconds/attempts — or, when the job
+     * failed, its error record. Never throws for a failed job.
+     */
+    RunRecord runJob(const JobSpec &job, long jobIndex, int jobs,
+                     std::chrono::steady_clock::time_point submitted,
+                     bool memoise);
 
     /**
-     * Commit a failed farm job: append its error record (see
-     * RunRecord::errored()) WITHOUT memoising — failures are never
-     * cached, so resubmitting the design point re-simulates it. The
-     * key is journal bookkeeping only.
+     * Journal-append one record under @p key (write + fsync; no-op
+     * when no journal is attached or the record was itself replayed
+     * from the journal). Throws when the append fails.
      */
-    void commitError(const std::string &key, RunRecord record);
+    void journalRecord(const std::string &key, const RunRecord &record)
+    {
+        if (journal.isOpen() && !record.journalReplayed)
+            journal.append(key, record);
+    }
+
+    /**
+     * Append a finished job's record without journaling it. Success
+     * records are memoised under @p key; error records (see
+     * RunRecord::errored()) never are — failures are never cached, so
+     * resubmitting the design point re-simulates it.
+     */
+    void commitRecord(const std::string &key, RunRecord record);
+
+    /** journalRecord(), then commitRecord(). */
+    void commitJob(const std::string &key, RunRecord record)
+    {
+        journalRecord(key, record);
+        commitRecord(key, std::move(record));
+    }
 
     /**
      * One record per actual (non-memoised) simulation, in commit
@@ -337,19 +358,23 @@ class ExperimentRunner
     /** BOP_RETRIES, 0 when unset. */
     static int retriesFromEnv();
 
-    /** BOP_RETRY_BACKOFF seconds, 0.05 when unset. */
-    static double backoffFromEnv();
-
     /** BOP_CKPT_DIR, empty when unset. */
     static std::string ckptDirFromEnv();
 
-    /** Journal-append one committed record; no-op when detached or
-     *  when the record was itself replayed from the journal. */
-    void journalCommit(const std::string &key, const RunRecord &record)
-    {
-        if (journal.isOpen() && !record.journalReplayed)
-            journal.append(key, record);
-    }
+    /**
+     * Find-or-claim-or-wait latch over one memo table (the run memo
+     * and the warmup-prefix cache both use it): returns the value
+     * cached under @p key, blocking while another caller produces it;
+     * otherwise claims @p key, runs produce() outside the lock and
+     * publishes its result, calling onPublish(value) under the lock.
+     * A producer that throws releases the claim so waiters retry
+     * instead of hanging. The bool is true when this call produced.
+     */
+    template <typename Value, typename Produce, typename OnPublish>
+    std::pair<const Value *, bool>
+    shareOnce(std::map<std::string, Value> &table,
+              std::set<std::string> &claims, const std::string &key,
+              Produce produce, OnPublish onPublish) const;
 
     /**
      * Disk checkpoint-cache entry for @p pkey, or false. Throws
@@ -360,7 +385,7 @@ class ExperimentRunner
     bool loadCacheEntry(const std::string &pkey,
                         std::vector<std::uint8_t> &container) const;
 
-    /** Persist a warm prefix atomically (tmp+fsync+rename);
+    /** Persist a warm prefix atomically (writeFileAtomically());
      *  best-effort — failures warn on stderr, the cache is only an
      *  optimisation. */
     void saveCacheEntry(const std::string &pkey,
@@ -373,12 +398,11 @@ class ExperimentRunner
     bool shareWarmup = false;  ///< ctor reads BOP_CKPT_SHARE
     double jobTimeout = 0.0;   ///< ctor reads BOP_JOB_TIMEOUT
     int retries_ = 0;          ///< ctor reads BOP_RETRIES
-    double retryBackoffBase = 0.05; ///< ctor reads BOP_RETRY_BACKOFF
     std::string ckptDir;       ///< ctor reads BOP_CKPT_DIR
 
     mutable std::mutex m;
-    /** Latch release / cache commit; also the prefix latch. Mutable:
-     *  simulateRecord() is const but waits on shared prefixes. */
+    /** shareOnce() publication. Mutable: simulateRecord() is const
+     *  but waits on shared prefixes. */
     mutable std::condition_variable cv;
     std::set<std::string> inflight; ///< keys being simulated right now
     std::map<std::string, RunRecord> cache;

@@ -4,194 +4,16 @@
 #include <cctype>
 #include <chrono>
 #include <mutex>
-#include <sstream>
-#include <stdexcept>
-#include <thread>
 
-#include "common/fault.hh"
-#include "harness/bench_diff.hh"
+#include "harness/job_fields.hh"
 #include "harness/json_report.hh"
 #include "sim/parallel.hh"
-#include "trace/workloads.hh"
 
 namespace bop
 {
 
-bool
-parseL2PrefetcherName(const std::string &name, L2PrefetcherKind &kind)
-{
-    using K = L2PrefetcherKind;
-    if (name == "none")
-        kind = K::None;
-    else if (name == "next-line" || name == "nl")
-        kind = K::NextLine;
-    else if (name == "fixed")
-        kind = K::FixedOffset;
-    else if (name == "bo")
-        kind = K::BestOffset;
-    else if (name == "bo-dpc2")
-        kind = K::BestOffsetDpc2;
-    else if (name == "sbp" || name == "sandbox")
-        kind = K::Sandbox;
-    else if (name == "stream")
-        kind = K::Stream;
-    else if (name == "streambuf")
-        kind = K::StreamBuffer;
-    else if (name == "fdp")
-        kind = K::Fdp;
-    else if (name == "acdc" || name == "ghb")
-        kind = K::Acdc;
-    else
-        return false;
-    return true;
-}
-
 namespace
 {
-
-/** One accepted job, ready to simulate. */
-struct ServeJob
-{
-    std::string benchmark;
-    SystemConfig cfg;
-    Budget budget;
-    bool shareSet = false; ///< line carried a "checkpoint" field
-    bool share = false;    ///< ... requesting warmup-prefix sharing
-};
-
-bool
-knownBenchmark(const std::string &name)
-{
-    for (const std::string &bench : benchmarkNames()) {
-        if (bench == name)
-            return true;
-    }
-    return false;
-}
-
-/**
- * Decode one job line into a ServeJob. The field vocabulary mirrors
- * bopsim's CLI options (snake_cased); unknown fields reject the line
- * so a typo never silently simulates the wrong design point.
- */
-bool
-parseJobLine(const std::string &line, const Budget &defaultBudget,
-             ServeJob &job, std::string &error)
-{
-    ParsedRunRecord fields;
-    try {
-        std::istringstream is(line);
-        fields = parseFlatRecord(is);
-    } catch (const std::exception &e) {
-        error = e.what();
-        return false;
-    }
-
-    // bopsim's defaults: paper baseline topology, BO prefetcher.
-    job.cfg = SystemConfig{};
-    job.cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
-    job.budget = defaultBudget;
-    job.benchmark.clear();
-
-    for (const auto &kv : fields.strings) {
-        const std::string &key = kv.first;
-        const std::string &value = kv.second;
-        if (key == "workload") {
-            job.benchmark = value;
-        } else if (key == "prefetcher") {
-            if (!parseL2PrefetcherName(value, job.cfg.l2Prefetcher)) {
-                error = "unknown prefetcher '" + value + "'";
-                return false;
-            }
-        } else if (key == "page") {
-            if (value == "4k" || value == "4K")
-                job.cfg.pageSize = PageSize::FourKB;
-            else if (value == "4m" || value == "4M")
-                job.cfg.pageSize = PageSize::FourMB;
-            else {
-                error = "page must be \"4k\" or \"4m\"";
-                return false;
-            }
-        } else if (key == "checkpoint") {
-            // "share": join the runner's warmup-prefix cache (jobs
-            // with the same workload/config/warmup simulate the
-            // warmup once); "cold": force a full cold run even when
-            // the runner default (BOP_CKPT_SHARE) is sharing.
-            if (value == "share")
-                job.share = true;
-            else if (value == "cold")
-                job.share = false;
-            else {
-                error = "checkpoint must be \"share\" or \"cold\"";
-                return false;
-            }
-            job.shareSet = true;
-        } else if (key == "l3") {
-            if (value == "5p")
-                job.cfg.l3Policy = L3PolicyKind::P5;
-            else if (value == "lru")
-                job.cfg.l3Policy = L3PolicyKind::Lru;
-            else if (value == "drrip")
-                job.cfg.l3Policy = L3PolicyKind::Drrip;
-            else {
-                error = "l3 must be \"5p\", \"lru\" or \"drrip\"";
-                return false;
-            }
-        } else {
-            error = "unknown string field \"" + key + "\"";
-            return false;
-        }
-    }
-
-    for (const auto &kv : fields.numbers) {
-        const std::string &key = kv.first;
-        const double value = kv.second;
-        const auto asInt = static_cast<int>(value);
-        const auto asU64 = static_cast<std::uint64_t>(value);
-        if (key == "offset")
-            job.cfg.fixedOffset = asInt;
-        else if (key == "cores")
-            job.cfg.activeCores = asInt;
-        else if (key == "num_cores")
-            job.cfg.numCores = asInt;
-        else if (key == "channels")
-            job.cfg.numChannels = asInt;
-        else if (key == "dl1_stride")
-            job.cfg.dl1StridePrefetcher = value != 0.0;
-        else if (key == "seed")
-            job.cfg.seed = asU64;
-        else if (key == "threads")
-            job.cfg.numThreads = asInt;
-        else if (key == "bo_badscore")
-            job.cfg.bo.badScore = asInt;
-        else if (key == "bo_rr")
-            job.cfg.bo.rrEntries = static_cast<std::size_t>(asU64);
-        else if (key == "bo_degree")
-            job.cfg.bo.degree = asInt;
-        else if (key == "bo_adaptive")
-            job.cfg.bo.adaptiveBadScore = value != 0.0;
-        else if (key == "bo_coverage")
-            job.cfg.bo.coverageWeight = asInt;
-        else if (key == "warmup")
-            job.budget.warmup = asU64;
-        else if (key == "instr")
-            job.budget.measure = asU64;
-        else {
-            error = "unknown numeric field \"" + key + "\"";
-            return false;
-        }
-    }
-
-    if (job.benchmark.empty()) {
-        error = "missing required field \"workload\"";
-        return false;
-    }
-    if (!knownBenchmark(job.benchmark)) {
-        error = "unknown workload '" + job.benchmark + "'";
-        return false;
-    }
-    return true;
-}
 
 bool
 blankLine(const std::string &line)
@@ -222,18 +44,17 @@ reportRejected(std::ostream &out, std::ostream &diag, std::mutex &outMutex,
  *  (docs/ROBUSTNESS.md). */
 void
 reportFailed(std::ostream &out, std::ostream &diag, std::mutex &outMutex,
-             const std::exception &e, long jobIndex, int attempts,
-             long lineNo)
+             const RunRecord &record, long lineNo)
 {
-    const std::string kind = faultKindOf(e);
     std::lock_guard<std::mutex> lk(outMutex);
-    diag << "serve: line " << lineNo << ": job " << jobIndex
-         << " failed (" << kind << ", attempt " << attempts
-         << "): " << e.what() << "\n";
-    out << "{\"error\": \"job failed\", \"kind\": \"" << jsonEscape(kind)
-        << "\", \"detail\": \"" << jsonEscape(e.what())
-        << "\", \"job_index\": " << jobIndex << ", \"attempts\": "
-        << attempts << ", \"line\": " << lineNo << "}" << std::endl;
+    diag << "serve: line " << lineNo << ": job " << record.jobIndex
+         << " failed (" << record.errorKind << ", attempt "
+         << record.attempts << "): " << record.errorDetail << "\n";
+    out << "{\"error\": \"job failed\", \"kind\": \""
+        << jsonEscape(record.errorKind) << "\", \"detail\": \""
+        << jsonEscape(record.errorDetail) << "\", \"job_index\": "
+        << record.jobIndex << ", \"attempts\": " << record.attempts
+        << ", \"line\": " << lineNo << "}" << std::endl;
 }
 
 } // namespace
@@ -242,9 +63,8 @@ int
 serveLoop(std::istream &in, std::ostream &out, ExperimentRunner &runner,
           const ServeOptions &options, std::ostream &diag)
 {
-    const unsigned workers =
-        options.jobs < 1 ? 1u : static_cast<unsigned>(options.jobs);
-    TaskPool pool(workers, options.backlog);
+    const int workers = options.jobs < 1 ? 1 : options.jobs;
+    TaskPool pool(static_cast<unsigned>(workers), options.backlog);
 
     std::mutex outMutex;
     std::atomic<int> failed{0};
@@ -262,9 +82,10 @@ serveLoop(std::istream &in, std::ostream &out, ExperimentRunner &runner,
         if (blankLine(line))
             continue;
 
-        ServeJob job;
+        JobSpec job =
+            defaultJob(options.defaultBudget, runner.checkpointSharing());
         std::string error;
-        if (!parseJobLine(line, options.defaultBudget, job, error)) {
+        if (!parseJobLine(line, job, error)) {
             ++rejected;
             reportRejected(out, diag, outMutex, error, lineNo);
             continue;
@@ -276,59 +97,25 @@ serveLoop(std::istream &in, std::ostream &out, ExperimentRunner &runner,
         // the reader bounds in-flight jobs (and so memory) for
         // arbitrarily long batches.
         pool.submit([&runner, &out, &outMutex, &diag, &failed, &retried,
-                     &replayed, &options, job, jobIndex, lineNo,
+                     &replayed, workers, job, jobIndex, lineNo,
                      submitted] {
-            const double queueWait =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - submitted)
-                    .count();
-            FaultScope scope(jobIndex);
-            for (int attempt = 1;; ++attempt) {
-                try {
-                    // The runner's in-flight latch dedups identical
-                    // design points across concurrent jobs; memo hits
-                    // answer without simulating — including records
-                    // replayed from a journal (--resume), which are
-                    // memo hits flagged journalReplayed.
-                    RunRecord record =
-                        job.shareSet
-                            ? runner.run(job.benchmark, job.cfg,
-                                         job.budget, job.share)
-                            : runner.run(job.benchmark, job.cfg,
-                                         job.budget);
-                    if (record.journalReplayed)
-                        ++replayed;
-                    record.jobs = static_cast<int>(
-                        options.jobs < 1 ? 1 : options.jobs);
-                    record.jobIndex = jobIndex;
-                    record.queueWaitSeconds = queueWait;
-                    record.attempts = attempt;
-                    std::lock_guard<std::mutex> lk(outMutex);
-                    writeRunRecord(out, record);
-                    out << std::endl;
-                    return;
-                } catch (const std::exception &e) {
-                    // Bounded retry: transient I/O failures re-run in
-                    // place through the never-memoise path (the
-                    // runner released its latch on throw). Everything
-                    // else is containment as before — this job
-                    // answers with an error object and the batch
-                    // keeps going.
-                    if (transientFaultKind(faultKindOf(e)) &&
-                        attempt <= runner.retries()) {
-                        ++retried;
-                        std::this_thread::sleep_for(
-                            std::chrono::duration<double>(
-                                runner.retryBackoffSeconds(attempt +
-                                                           1)));
-                        continue;
-                    }
-                    ++failed;
-                    reportFailed(out, diag, outMutex, e, jobIndex,
-                                 attempt, lineNo);
-                    return;
-                }
+            // The runner's in-flight latch dedups identical design
+            // points across concurrent jobs; memo hits answer without
+            // simulating — including records replayed from a journal
+            // (--resume), which are memo hits flagged journalReplayed.
+            const RunRecord record = runner.runJob(
+                job, jobIndex, workers, submitted, /*memoise=*/true);
+            retried += record.attempts - 1;
+            if (record.errored()) {
+                ++failed;
+                reportFailed(out, diag, outMutex, record, lineNo);
+                return;
             }
+            if (record.journalReplayed)
+                ++replayed;
+            std::lock_guard<std::mutex> lk(outMutex);
+            writeRunRecord(out, record);
+            out << std::endl;
         });
     }
 

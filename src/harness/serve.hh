@@ -10,11 +10,15 @@
  * the reader thread blocks on TaskPool::submit when the backlog is
  * full, so memory stays bounded no matter how long the job stream is.
  *
- * Job object subset (flat strings/numbers, same grammar bench_diff
- * parses; only "workload" is required):
+ * Job objects are flat strings/numbers (the grammar bench_diff
+ * parses) over the job vocabulary bopsim's flags share — the field
+ * table in harness/job_fields.hh; only "workload" is required:
  *
  *   {"workload": "462.libquantum", "prefetcher": "bo", "cores": 2,
  *    "page": "4m", "seed": 7, "warmup": 20000, "instr": 80000}
+ *
+ * Each accepted job runs through ExperimentRunner::runJob() (memoised,
+ * with in-place retry).
  *
  * Responses carry `job_index` (the job's ordinal among accepted lines
  * — deterministic, scheduling-independent) and arrive in completion
@@ -39,10 +43,6 @@
 
 namespace bop
 {
-
-/** Parse an L2 prefetcher name (bopsim's --prefetcher vocabulary). */
-bool parseL2PrefetcherName(const std::string &name,
-                           L2PrefetcherKind &kind);
 
 /** Scheduling knobs for one serve session. */
 struct ServeOptions

@@ -1,71 +1,27 @@
 #include "harness/sweep_farm.hh"
 
 #include <chrono>
-#include <thread>
-
-#include "common/fault.hh"
+#include <cstdio>
+#include <stdexcept>
 
 namespace bop
 {
 
-namespace
-{
-
-/** Error record for a design point whose simulation threw. */
-RunRecord
-errorRecord(const std::string &benchmark, const SystemConfig &cfg,
-            int jobs, long jobIndex, const std::exception &e, int attempts)
-{
-    RunRecord record;
-    record.workload = benchmark;
-    record.config = cfg.describe();
-    record.jobs = jobs;
-    record.jobIndex = jobIndex;
-    record.errorKind = faultKindOf(e);
-    record.errorDetail = e.what();
-    record.attempts = attempts;
-    return record;
-}
-
-} // namespace
-
 SweepFarm::SweepFarm(ExperimentRunner &runner, int jobs_,
                      std::size_t backlog)
-    : runner_(runner), jobs(jobs_ < 1 ? 1 : jobs_)
+    : runner_(runner), jobs(jobs_ < 1 ? 1 : jobs_),
+      pool(static_cast<unsigned>(jobs), backlog)
 {
-    if (jobs > 1)
-        pool = std::make_unique<TaskPool>(static_cast<unsigned>(jobs),
-                                          backlog);
 }
 
 SweepFarm::~SweepFarm()
 {
-    drain();
-}
-
-void
-SweepFarm::runSlot(Slot *slot, int attempt)
-{
-    const double queueWait =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      slot->submitted)
-            .count();
-    // Containment: catch here, in the slot, rather than leaning on
-    // TaskPool's backstop — the error must land in this job's
-    // submission-order slot so drain() commits it (and every
-    // surviving record) exactly where a fault-free run would.
-    FaultScope scope(slot->jobIndex);
+    // drain() throws only for a failed journal append; a destructor
+    // cannot rethrow it, so report it rather than terminate.
     try {
-        RunRecord record =
-            runner_.simulateRecord(slot->benchmark, slot->cfg);
-        record.jobs = jobs;
-        record.jobIndex = slot->jobIndex;
-        record.queueWaitSeconds = queueWait;
-        record.attempts = attempt;
-        slot->record = std::move(record);
+        drain();
     } catch (const std::exception &e) {
-        slot->record = errorRecord(slot->benchmark, slot->cfg, jobs,
-                                   slot->jobIndex, e, attempt);
+        std::fprintf(stderr, "sweep farm: %s\n", e.what());
     }
 }
 
@@ -79,87 +35,46 @@ SweepFarm::submit(const std::string &benchmark, const SystemConfig &cfg)
     // A journal replay claims this submission slot before the memo is
     // even consulted (replayed success records ARE memoised): the
     // journaled record — error records included — is committed
-    // verbatim, and the job index still advances so the rest of the
-    // sweep keeps the indices an uninterrupted run would produce.
-    RunRecord replayedRecord;
-    if (runner_.consumeReplayed(key, replayedRecord)) {
-        runner_.reserveJobIndex();
-        if (replayedRecord.errored())
-            runner_.commitError(key, std::move(replayedRecord));
-        else
-            runner_.commitJob(key, std::move(replayedRecord));
-        return;
-    }
-    if (runner_.memoised(key))
+    // verbatim at drain(), and the job index still advances so the
+    // rest of the sweep keeps the indices an uninterrupted run would
+    // produce.
+    RunRecord replayed;
+    const bool replay = runner_.consumeReplayed(key, replayed);
+    if (!replay && runner_.memoised(key))
         return;
 
     const long jobIndex = runner_.reserveJobIndex();
-
-    if (!pool) {
-        // Inline serial path: identical to the pre-farm sweep, and the
-        // memo is warm immediately (later duplicate submissions of the
-        // same point short-circuit above). Containment and bounded
-        // retry match the pool path, minus the queueing.
-        Slot slot{key, benchmark, cfg, jobIndex,
-                  std::chrono::steady_clock::now(), RunRecord{}};
-        const int maxAttempts = 1 + runner_.retries();
-        for (int attempt = 1;; ++attempt) {
-            runSlot(&slot, attempt);
-            if (!slot.record.errored() ||
-                !transientFaultKind(slot.record.errorKind) ||
-                attempt >= maxAttempts)
-                break;
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                runner_.retryBackoffSeconds(attempt + 1)));
-        }
-        if (slot.record.errored())
-            runner_.commitError(key, std::move(slot.record));
-        else
-            runner_.commitJob(key, std::move(slot.record));
+    slots.push_back(Slot{key, std::move(replayed)});
+    if (replay)
         return;
-    }
 
-    slots.push_back(Slot{key, benchmark, cfg, jobIndex,
-                         std::chrono::steady_clock::now(), RunRecord{}});
     Slot *slot = &slots.back();
-    pool->submit([this, slot] { runSlot(slot, 1); });
+    const JobSpec job{benchmark, cfg, runner_.budgets(),
+                      runner_.checkpointSharing()};
+    const auto submittedAt = std::chrono::steady_clock::now();
+    pool.submit([this, slot, job, jobIndex, submittedAt] {
+        slot->record = runner_.runJob(job, jobIndex, jobs, submittedAt,
+                                      /*memoise=*/false);
+        // Journal on completion, on this worker: once this returns, a
+        // kill -9 of the sweep no longer loses the job. An append
+        // failure escapes to the pool, and drain() rethrows it.
+        runner_.journalRecord(slot->key, slot->record);
+    });
 }
 
 void
 SweepFarm::drain()
 {
-    if (!pool)
-        return; // inline jobs committed at submit time
-    pool->drain();
-
-    // Bounded retry (docs/ROBUSTNESS.md decision table): re-enqueue
-    // the slots that failed with a transient kind through the same
-    // never-memoise path, with exponential backoff between rounds.
-    // TaskPool workers persist across drain(), so re-submission after
-    // a drain is an ordinary submit.
-    const int maxAttempts = 1 + runner_.retries();
-    for (int attempt = 2; attempt <= maxAttempts; ++attempt) {
-        std::vector<Slot *> again;
-        for (Slot &slot : slots) {
-            if (slot.record.errored() &&
-                transientFaultKind(slot.record.errorKind))
-                again.push_back(&slot);
-        }
-        if (again.empty())
-            break;
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            runner_.retryBackoffSeconds(attempt)));
-        for (Slot *slot : again)
-            pool->submit([this, slot, attempt] { runSlot(slot, attempt); });
-        pool->drain();
+    pool.drain();
+    const std::vector<JobError> errors = pool.takeErrors();
+    if (!errors.empty()) {
+        // A write-ahead journal that cannot persist must fail loudly;
+        // nothing from this batch is acknowledged in memory.
+        slots.clear();
+        throw std::runtime_error(errors.front().what);
     }
-
-    for (Slot &slot : slots) {
-        if (slot.record.errored())
-            runner_.commitError(slot.key, std::move(slot.record));
-        else
-            runner_.commitJob(slot.key, std::move(slot.record));
-    }
+    for (Slot &slot : slots)
+        runner_.commitRecord(slot.key, std::move(slot.record));
     slots.clear();
 }
 

@@ -6,18 +6,20 @@
  * design points; each System is self-contained and deterministic, so
  * they parallelise perfectly at job granularity. SweepFarm accepts
  * submissions, deduplicates them through the runner's memo key, fans
- * unique jobs out across a TaskPool, and commits the resulting
+ * unique jobs out across a TaskPool (ExperimentRunner::runJob() on a
+ * worker, for every worker count), and commits the resulting
  * RunRecords in submission order — so the runner's JSON output is
- * byte-identical to a serial sweep for every worker count (timing
- * fields aside).
+ * byte-identical for every worker count (timing fields aside).
  *
  * Determinism contract:
  *  - job_index is reserved at submission time, before any worker
  *    touches the job, so it depends only on the submission sequence;
  *  - records are committed at drain() in submission order, never in
  *    completion order;
- *  - with jobs == 1 each submission runs inline (no pool), which is
- *    exactly the old serial sweep;
+ *  - with a journal attached, each record is journaled on its worker
+ *    as soon as its job completes (completion order — replay is by
+ *    key), so a killed sweep loses no finished job for any worker
+ *    count; a journal append failure propagates out of drain();
  *  - a job whose simulation throws commits an error record (same
  *    job_index, same submission-order slot — docs/ROBUSTNESS.md) and
  *    is never memoised; every other job completes unaffected, so the
@@ -27,8 +29,8 @@
  *    submission slot without simulating — job indices still advance,
  *    so the un-journaled remainder of the sweep lands on exactly the
  *    indices an uninterrupted run would have given it;
- *  - jobs failing with a transient error kind ("io") are re-enqueued
- *    after the first drain pass with exponential backoff, up to
+ *  - jobs failing with a transient error kind ("io") retry in place
+ *    on their worker with exponential backoff, up to
  *    1 + runner.retries() attempts (records carry `attempts`).
  *
  * Usage: submit the whole sweep (a "prefetch pass"), drain(), then
@@ -39,9 +41,7 @@
 #ifndef BOP_HARNESS_SWEEP_FARM_HH
 #define BOP_HARNESS_SWEEP_FARM_HH
 
-#include <chrono>
 #include <deque>
-#include <memory>
 #include <set>
 #include <string>
 
@@ -57,7 +57,7 @@ class SweepFarm
   public:
     /**
      * @param runner  shared memo/record store (outlives the farm).
-     * @param jobs    worker count; 1 = run inline, serially.
+     * @param jobs    worker count (at least 1).
      * @param backlog in-flight bound for TaskPool::submit backpressure
      *                (0 means 4 * jobs).
      */
@@ -83,7 +83,8 @@ class SweepFarm
      * Wait for all submitted jobs, then commit their records to the
      * runner in submission order. After drain() every submitted
      * design point is memoised, so derived lookups through
-     * ExperimentRunner::run() are pure cache hits.
+     * ExperimentRunner::run() are pure cache hits. Throws, committing
+     * nothing, when a journal append failed.
      */
     void drain();
 
@@ -91,20 +92,12 @@ class SweepFarm
     struct Slot
     {
         std::string key;
-        std::string benchmark;
-        SystemConfig cfg;
-        long jobIndex = -1;
-        std::chrono::steady_clock::time_point submitted;
-        RunRecord record;
+        RunRecord record; ///< filled by a worker, or a journal replay
     };
-
-    /** Simulate one slot's design point into slot->record (attempt
-     *  @p attempt); exceptions become error records in the slot. */
-    void runSlot(Slot *slot, int attempt);
 
     ExperimentRunner &runner_;
     const int jobs;
-    std::unique_ptr<TaskPool> pool; ///< null when jobs == 1
+    TaskPool pool;
     /** Deque for reference stability: workers fill earlier slots
      *  while submit() keeps appending. Drained in order. */
     std::deque<Slot> slots;

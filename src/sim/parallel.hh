@@ -159,9 +159,8 @@ class WorkerPool
  * pool of a few workers). drain() is the shutdown-side barrier: it
  * returns once the queue is empty and every in-flight task finished —
  * but it does NOT stop the workers: submitting after a drain() is an
- * ordinary submit, and the pool drains again. The sweep farm's
- * bounded-retry path relies on this contract to re-enqueue
- * transient-failed jobs after the first drain pass.
+ * ordinary submit, and the pool drains again (a sweep farm drains
+ * once per figure pass and keeps submitting).
  *
  * Tasks must synchronise any shared state themselves; the pool only
  * guarantees each task runs exactly once, on some worker thread.

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <regex>
@@ -96,6 +97,22 @@ bool
 fileExists(const std::string &path)
 {
     return std::ifstream(path).good();
+}
+
+/** Does any `<path>.tmp*` sibling of @p path exist? Atomic saves
+ *  write to a uniquely named tmp file, so scan the directory rather
+ *  than probe one guessed name. */
+bool
+tmpSiblingExists(const std::string &path)
+{
+    const std::filesystem::path target(path);
+    const std::string prefix = target.filename().string() + ".tmp";
+    for (const auto &entry :
+         std::filesystem::directory_iterator(target.parent_path())) {
+        if (entry.path().filename().string().rfind(prefix, 0) == 0)
+            return true;
+    }
+    return false;
 }
 
 // -- the FaultPlan itself -----------------------------------------------------
@@ -269,7 +286,7 @@ TEST(Faults, ShortCheckpointWriteLeavesNoPlausibleArtifact)
     // The injected mid-save crash must never leave a restorable-
     // looking file: neither the target nor the tmp file survive.
     EXPECT_FALSE(fileExists(bad.path()));
-    EXPECT_FALSE(fileExists(bad.path() + ".tmp"));
+    EXPECT_FALSE(tmpSiblingExists(bad.path()));
 
     // And the earlier good checkpoint is untouched: it still restores
     // into a fresh System at the saved cycle.
@@ -296,7 +313,7 @@ TEST(Faults, OverwritingSaveKeepsThePreviousCheckpointOnFailure)
         EXPECT_THROW(sys.saveCheckpoint(ckpt.path()),
                      std::runtime_error);
     }
-    EXPECT_FALSE(fileExists(ckpt.path() + ".tmp"));
+    EXPECT_FALSE(tmpSiblingExists(ckpt.path()));
 
     System restored(cfg, makeTraces("429.mcf", cfg));
     restored.restoreCheckpoint(ckpt.path());

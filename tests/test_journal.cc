@@ -23,6 +23,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -30,6 +31,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault.hh"
@@ -506,6 +508,48 @@ TEST(JournalResume, CrashedChildResumesByteIdentically)
               maskTiming(recordsText(cold)));
 }
 
+/** Complete (newline-terminated) lines in @p path. */
+std::size_t
+completeLines(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::size_t lines = 0;
+    for (char c; in.get(c);)
+        lines += c == '\n';
+    return lines;
+}
+
+TEST(JournalResume, PooledFarmJournalsFinishedJobsBeforeDrain)
+{
+    // Journal on completion: every finished job of a multi-worker
+    // farm is durable before drain() commits the record stream, so a
+    // kill -9 before the drain loses none of them.
+    TempFile file("before_drain");
+    ExperimentRunner runner(tinyBudget());
+    runner.attachJournal(file.path());
+    SweepFarm farm(runner, 3);
+    for (int i = 0; i < 6; ++i) {
+        SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
+        cfg.seed = static_cast<std::uint64_t>(i);
+        farm.submit("429.mcf", cfg);
+    }
+
+    // Header + 6 records, awaited with a bounded poll — no drain().
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    std::size_t lines = completeLines(file.path());
+    while (lines < 7 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        lines = completeLines(file.path());
+    }
+    EXPECT_EQ(lines, 7u) << "finished jobs were not journaled before drain()";
+    EXPECT_TRUE(runner.records().empty()) << "records commit at drain()";
+
+    farm.drain();
+    EXPECT_EQ(runner.records().size(), 6u);
+    EXPECT_EQ(completeLines(file.path()), 7u) << "drain() re-journaled";
+}
+
 // -- fault-plan hygiene -------------------------------------------------------
 
 TEST(FaultPlan, ResetForTestReArmsFromTheEnvironment)
@@ -545,7 +589,7 @@ TEST(Retry, TransientIoFailureRetriesToSuccessThroughTheFarm)
     EXPECT_EQ(runner.records()[1].attempts, 1);
 }
 
-TEST(Retry, PooledFarmReEnqueuesTransientFailuresAfterDrain)
+TEST(Retry, PooledFarmRetriesTransientFailuresInPlace)
 {
     ExperimentRunner runner(tinyBudget());
     runner.setRetries(2);

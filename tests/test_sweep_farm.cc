@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "harness/job_fields.hh"
 #include "harness/json_report.hh"
 #include "harness/serve.hh"
 #include "harness/sweep_farm.hh"
@@ -467,7 +468,13 @@ TEST(Serve, MalformedLinesRejectedWithDiagnostics)
         "{\"workload\": \"not-a-benchmark\"}\n"
         "{\"prefetcher\": \"bo\"}\n"
         "\n"
-        "{\"workload\": \"429.mcf\"}\n");
+        "{\"workload\": \"429.mcf\"}\n"
+        // Numbers outside the field's integer range, or not integral:
+        // refused while parsing, never truncated into a wrong run.
+        "{\"workload\": \"429.mcf\", \"cores\": 1e10}\n"
+        "{\"workload\": \"429.mcf\", \"threads\": 1e12}\n"
+        "{\"workload\": \"429.mcf\", \"bo_rr\": -1}\n"
+        "{\"workload\": \"429.mcf\", \"seed\": 2.7}\n");
     std::ostringstream out, diag;
     ExperimentRunner runner(testBudget());
     ServeOptions options;
@@ -475,12 +482,14 @@ TEST(Serve, MalformedLinesRejectedWithDiagnostics)
     options.defaultBudget = testBudget();
 
     const int failures = serveLoop(in, out, runner, options, diag);
-    EXPECT_EQ(failures, 4);
+    EXPECT_EQ(failures, 8);
 
-    // One {"error", "line"} object per bad line, pointing at it.
+    // One {"error", "kind": "parse", "line"} object per bad line,
+    // pointing at it.
     const std::string response = out.str();
-    for (const int line : {1, 2, 3, 4}) {
-        EXPECT_NE(response.find("\"line\": " + std::to_string(line)),
+    for (const int line : {1, 2, 3, 4, 7, 8, 9, 10}) {
+        EXPECT_NE(response.find("\"kind\": \"parse\", \"line\": " +
+                                std::to_string(line) + "}"),
                   std::string::npos)
             << response;
         EXPECT_NE(diag.str().find("serve: line " + std::to_string(line)),
@@ -490,6 +499,103 @@ TEST(Serve, MalformedLinesRejectedWithDiagnostics)
     // The good line (6, after the blank) still simulated.
     EXPECT_NE(response.find("\"job_index\": 0"), std::string::npos);
     EXPECT_EQ(runner.records().size(), 1u);
+}
+
+TEST(Serve, JobLinesAndBopsimFlagsShareOneVocabulary)
+{
+    // All 17 SystemConfig/Budget fields, each off its default, given
+    // once as a job line and once as bopsim flags.
+    const std::string line =
+        "{\"workload\": \"429.mcf\", \"prefetcher\": \"fixed\", "
+        "\"page\": \"4m\", \"l3\": \"drrip\", \"offset\": 7, "
+        "\"cores\": 2, \"num_cores\": 4, \"channels\": 4, "
+        "\"dl1_stride\": 0, \"seed\": 9, \"threads\": 3, "
+        "\"bo_badscore\": 5, \"bo_rr\": 128, \"bo_degree\": 2, "
+        "\"bo_adaptive\": 1, \"bo_coverage\": 1, \"warmup\": 1234, "
+        "\"instr\": 5678}";
+    std::vector<std::string> flags = {
+        "bopsim",
+        "--workload", "429.mcf",
+        "--prefetcher", "fixed",
+        "--page", "4m",
+        "--l3", "drrip",
+        "--offset", "7",
+        "--cores", "2",
+        "--num-cores", "4",
+        "--channels", "4",
+        "--no-dl1-stride",
+        "--seed", "9",
+        "--threads", "3",
+        "--bo-badscore", "5",
+        "--bo-rr", "128",
+        "--bo-degree", "2",
+        "--bo-adaptive",
+        "--bo-coverage", "1",
+        "--warmup", "1234",
+        "--instr", "5678"};
+
+    const JobSpec defaults = defaultJob(Budget{}, false);
+    JobSpec fromLine = defaults;
+    std::string error;
+    ASSERT_TRUE(parseJobLine(line, fromLine, error)) << error;
+
+    JobSpec fromFlags = defaults;
+    std::vector<char *> argv;
+    for (std::string &flag : flags)
+        argv.push_back(flag.data());
+    const int argc = static_cast<int>(argv.size());
+    for (int i = 1; i < argc; ++i)
+        ASSERT_TRUE(parseJobFlag(argc, argv.data(), i, fromFlags))
+            << argv[static_cast<std::size_t>(i)];
+
+    // The design point both front ends name, field by field.
+    SystemConfig expected = defaults.cfg;
+    expected.l2Prefetcher = L2PrefetcherKind::FixedOffset;
+    expected.pageSize = PageSize::FourMB;
+    expected.l3Policy = L3PolicyKind::Drrip;
+    expected.fixedOffset = 7;
+    expected.activeCores = 2;
+    expected.numCores = 4;
+    expected.numChannels = 4;
+    expected.dl1StridePrefetcher = false;
+    expected.seed = 9;
+    expected.bo.badScore = 5;
+    expected.bo.rrEntries = 128;
+    expected.bo.degree = 2;
+    expected.bo.adaptiveBadScore = true;
+    expected.bo.coverageWeight = 1;
+
+    EXPECT_EQ(fromLine.benchmark, "429.mcf");
+    EXPECT_EQ(fromFlags.benchmark, "429.mcf");
+    EXPECT_EQ(configFingerprint(fromLine.cfg), configFingerprint(expected));
+    EXPECT_EQ(configFingerprint(fromFlags.cfg), configFingerprint(expected));
+    // numThreads is a host knob, outside the fingerprint.
+    EXPECT_EQ(fromLine.cfg.numThreads, 3);
+    EXPECT_EQ(fromFlags.cfg.numThreads, 3);
+    EXPECT_EQ(fromLine.budget.warmup, 1234u);
+    EXPECT_EQ(fromFlags.budget.warmup, 1234u);
+    EXPECT_EQ(fromLine.budget.measure, 5678u);
+    EXPECT_EQ(fromFlags.budget.measure, 5678u);
+
+    // The flag front end refuses junk, fractions, negative counts,
+    // out-of-range ints and a missing argument.
+    const std::vector<std::vector<std::string>> refused = {
+        {"bopsim", "--cores", "abc"},
+        {"bopsim", "--warmup", "-1"},
+        {"bopsim", "--seed", "2.7"},
+        {"bopsim", "--threads", "99999999999"},
+        {"bopsim", "--instr"}};
+    for (std::vector<std::string> words : refused) {
+        std::vector<char *> badArgv;
+        for (std::string &word : words)
+            badArgv.push_back(word.data());
+        JobSpec job = defaults;
+        int i = 1;
+        EXPECT_THROW(parseJobFlag(static_cast<int>(badArgv.size()),
+                                  badArgv.data(), i, job),
+                     std::invalid_argument)
+            << words[1];
+    }
 }
 
 TEST(Serve, ThousandJobBatchDedupsAndDrains)

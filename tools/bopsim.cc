@@ -28,6 +28,7 @@
 #include <iostream>
 
 #include "harness/experiment.hh"
+#include "harness/job_fields.hh"
 #include "harness/json_report.hh"
 #include "harness/serve.hh"
 #include "sim/system.hh"
@@ -142,15 +143,6 @@ onStopSignal(int)
     stop_requested.store(true, std::memory_order_relaxed);
 }
 
-bop::L2PrefetcherKind
-parsePrefetcher(const std::string &name)
-{
-    bop::L2PrefetcherKind kind;
-    if (!bop::parseL2PrefetcherName(name, kind))
-        die("unknown prefetcher '" + name + "'");
-    return kind;
-}
-
 } // namespace
 
 int
@@ -158,15 +150,12 @@ main(int argc, char **argv)
 {
     using namespace bop;
 
-    std::string workload;
     std::string trace_file;
     std::string json_path;
     std::string save_ckpt;
     std::string restore_ckpt;
-    SystemConfig cfg;
-    cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
-    std::uint64_t warmup = 100000;
-    std::uint64_t instr = 400000;
+    JobSpec job = defaultJob(Budget{}, false);
+    SystemConfig &cfg = job.cfg;
     std::uint64_t skip = 0;
     std::uint64_t sample = 0;
     bool serve = false;
@@ -187,6 +176,15 @@ main(int argc, char **argv)
             die(std::string(argv[i]) + " needs an argument");
         return argv[++i];
     };
+    // The job vocabulary (--workload, --prefetcher, --cores, ...,
+    // --warmup, --instr) shared with --serve job lines.
+    auto job_flag = [&](int &i) {
+        try {
+            return parseJobFlag(argc, argv, i, job);
+        } catch (const std::invalid_argument &e) {
+            die(e.what());
+        }
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -197,8 +195,6 @@ main(int argc, char **argv)
             for (const auto &name : benchmarkNames())
                 std::printf("%s\n", name.c_str());
             return 0;
-        } else if (arg == "--workload") {
-            workload = next_arg(i);
         } else if (arg == "--trace") {
             trace_file = next_arg(i);
         } else if (arg == "--skip") {
@@ -218,55 +214,6 @@ main(int argc, char **argv)
             job_timeout = std::strtod(next_arg(i).c_str(), nullptr);
         } else if (arg == "--no-fast-forward") {
             cfg.fastForward = false;
-        } else if (arg == "--prefetcher") {
-            cfg.l2Prefetcher = parsePrefetcher(next_arg(i));
-        } else if (arg == "--offset") {
-            cfg.fixedOffset = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--cores") {
-            cfg.activeCores = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--num-cores") {
-            cfg.numCores = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--channels") {
-            cfg.numChannels = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--page") {
-            const std::string v = next_arg(i);
-            if (v == "4k" || v == "4K")
-                cfg.pageSize = PageSize::FourKB;
-            else if (v == "4m" || v == "4M")
-                cfg.pageSize = PageSize::FourMB;
-            else
-                die("--page must be 4k or 4m");
-        } else if (arg == "--l3") {
-            const std::string v = next_arg(i);
-            if (v == "5p")
-                cfg.l3Policy = L3PolicyKind::P5;
-            else if (v == "lru")
-                cfg.l3Policy = L3PolicyKind::Lru;
-            else if (v == "drrip")
-                cfg.l3Policy = L3PolicyKind::Drrip;
-            else
-                die("--l3 must be 5p, lru or drrip");
-        } else if (arg == "--no-dl1-stride") {
-            cfg.dl1StridePrefetcher = false;
-        } else if (arg == "--bo-badscore") {
-            cfg.bo.badScore = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--bo-rr") {
-            cfg.bo.rrEntries =
-                static_cast<std::size_t>(std::atoll(next_arg(i).c_str()));
-        } else if (arg == "--bo-degree") {
-            cfg.bo.degree = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--bo-adaptive") {
-            cfg.bo.adaptiveBadScore = true;
-        } else if (arg == "--bo-coverage") {
-            cfg.bo.coverageWeight = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--warmup") {
-            warmup = std::strtoull(next_arg(i).c_str(), nullptr, 10);
-        } else if (arg == "--instr") {
-            instr = std::strtoull(next_arg(i).c_str(), nullptr, 10);
-        } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(next_arg(i).c_str(), nullptr, 10);
-        } else if (arg == "--threads") {
-            cfg.numThreads = std::atoi(next_arg(i).c_str());
         } else if (arg == "--save-checkpoint") {
             save_ckpt = next_arg(i);
         } else if (arg == "--restore-checkpoint") {
@@ -281,21 +228,21 @@ main(int argc, char **argv)
             retries = std::atoi(next_arg(i).c_str());
             if (retries < 0)
                 retries = 0;
-        } else {
+        } else if (!job_flag(i)) {
             usage(argv[0]);
             die("unknown option '" + arg + "'");
         }
     }
 
     if (serve) {
-        if (!workload.empty() || !trace_file.empty())
+        if (!job.benchmark.empty() || !trace_file.empty())
             die("--serve takes its workloads from the job stream, not "
                 "--workload/--trace");
         if (!save_ckpt.empty() || !restore_ckpt.empty())
             die("--serve jobs opt into checkpointing per line "
                 "(\"checkpoint\": \"share\"), not via "
                 "--save/--restore-checkpoint");
-        ExperimentRunner runner(Budget{warmup, instr});
+        ExperimentRunner runner(job.budget);
         if (job_timeout >= 0.0)
             runner.setJobTimeout(job_timeout);
         if (retries >= 0)
@@ -311,7 +258,7 @@ main(int argc, char **argv)
         ServeOptions serve_opts;
         serve_opts.jobs = jobs;
         serve_opts.backlog = backlog;
-        serve_opts.defaultBudget = Budget{warmup, instr};
+        serve_opts.defaultBudget = job.budget;
         serve_opts.stopRequested = &stop_requested;
 
         // Graceful drain on SIGINT/SIGTERM: no SA_RESTART, so a
@@ -338,7 +285,7 @@ main(int argc, char **argv)
     if (!journal_path.empty() || !resume_path.empty() || retries >= 0)
         die("--journal/--resume/--retries apply to the batch service; "
             "combine them with --serve");
-    if (workload.empty() == trace_file.empty())
+    if (job.benchmark.empty() == trace_file.empty())
         die("select exactly one of --workload / --trace (see --help)");
     if ((skip || sample) && trace_file.empty())
         die("--skip/--sample window trace replay; use them with --trace");
@@ -379,7 +326,7 @@ main(int argc, char **argv)
                 traces.push_back(std::move(trace));
             }
         } else {
-            traces.push_back(makeWorkload(workload, cfg.seed));
+            traces.push_back(makeWorkload(job.benchmark, cfg.seed));
         }
         for (int c = static_cast<int>(traces.size());
              c < cfg.activeCores; ++c) {
@@ -391,12 +338,12 @@ main(int argc, char **argv)
         System sys(cfg, std::move(traces));
         const auto t0 = std::chrono::steady_clock::now();
         if (restore_ckpt.empty())
-            sys.warmup(warmup);
+            sys.warmup(job.budget.warmup);
         else
             sys.restoreCheckpoint(restore_ckpt);
         if (!save_ckpt.empty())
             sys.saveCheckpoint(save_ckpt);
-        const RunStats s = sys.measure(instr);
+        const RunStats s = sys.measure(job.budget.measure);
         const double wall = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
@@ -407,12 +354,12 @@ main(int argc, char **argv)
         std::printf("config       : %s\n", cfg.describe().c_str());
         if (restore_ckpt.empty()) {
             std::printf("window       : %llu warm-up + %llu measured\n",
-                        static_cast<unsigned long long>(warmup),
-                        static_cast<unsigned long long>(instr));
+                        static_cast<unsigned long long>(job.budget.warmup),
+                        static_cast<unsigned long long>(job.budget.measure));
         } else {
             std::printf("window       : restored %s + %llu measured\n",
                         restore_ckpt.c_str(),
-                        static_cast<unsigned long long>(instr));
+                        static_cast<unsigned long long>(job.budget.measure));
         }
         std::printf("\n");
         std::printf("IPC          : %.4f\n", s.ipc());
