@@ -14,12 +14,15 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "harness/experiment.hh"
+#include "harness/job_fields.hh"
 #include "harness/json_report.hh"
 #include "harness/sweep_farm.hh"
 #include "trace/workloads.hh"
@@ -27,16 +30,22 @@
 namespace bop
 {
 
-/** Default sweep-farm worker count: BOP_JOBS, else 1 (serial). */
+/**
+ * A whole integer option in [@p lo, INT_MAX], checked like bopsim's
+ * numeric flags (harness/job_fields): anything else exits 2 naming
+ * @p name, so `--jobs abc` cannot silently run serially.
+ */
 inline int
-jobsFromEnv()
+benchIntOption(const char *prog, const std::string &name,
+               const std::string &text, int lo)
 {
-    if (const char *j = std::getenv("BOP_JOBS")) {
-        const int jobs = std::atoi(j);
-        if (jobs >= 1)
-            return jobs;
+    try {
+        return static_cast<int>(parseIntOption(
+            name, text, lo, std::numeric_limits<int>::max()));
+    } catch (const std::invalid_argument &e) {
+        std::cerr << prog << ": " << e.what() << "\n";
+        std::exit(2);
     }
-    return 1;
 }
 
 /** Command-line options shared by the figure benches. */
@@ -59,23 +68,20 @@ inline BenchOptions
 parseBenchOptions(int argc, char **argv, std::string *positional = nullptr)
 {
     BenchOptions opts;
-    opts.jobs = jobsFromEnv();
+    if (const char *j = std::getenv("BOP_JOBS"); j && *j)
+        opts.jobs = benchIntOption(argv[0], "BOP_JOBS", j, 1);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json" && i + 1 < argc) {
             opts.jsonPath = argv[++i];
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = std::atoi(argv[++i]);
-            if (opts.jobs < 1)
-                opts.jobs = 1;
+            opts.jobs = benchIntOption(argv[0], arg, argv[++i], 1);
         } else if (arg == "--journal" && i + 1 < argc) {
             opts.journalPath = argv[++i];
         } else if (arg == "--resume" && i + 1 < argc) {
             opts.resumePath = argv[++i];
         } else if (arg == "--retries" && i + 1 < argc) {
-            opts.retries = std::atoi(argv[++i]);
-            if (opts.retries < 0)
-                opts.retries = 0;
+            opts.retries = benchIntOption(argv[0], arg, argv[++i], 0);
         } else if (positional && !arg.empty() && arg[0] != '-') {
             *positional = arg;
         } else {

@@ -166,6 +166,20 @@ FillQueue::popReady(Cycle now)
     return std::nullopt;
 }
 
+Cycle
+FillQueue::minReadyAfter(Cycle after) const
+{
+    if (minDataReady > after)
+        return minDataReady;
+    Cycle best = neverCycle;
+    for (const std::uint32_t s : fifo) {
+        const FillQueueEntry &slot = slots[s];
+        if (slot.hasData && slot.readyAt > after && slot.readyAt < best)
+            best = slot.readyAt;
+    }
+    return best;
+}
+
 void
 FillQueue::recomputeMinDataReady()
 {

@@ -144,6 +144,14 @@ class FillQueue
     Cycle minReadyAt() const { return minDataReady; }
 
     /**
+     * Smallest readyAt after cycle @p after among entries that carry
+     * data (neverCycle when none). The stall latch's view of a bank
+     * whose oldest ready entry is blocked: a later arrival may be
+     * older in drain order and must still wake the drain.
+     */
+    Cycle minReadyAfter(Cycle after) const;
+
+    /**
      * Checkpoint this queue/bank's slots and drain order, including
      * the incrementally maintained occupancy counts and min-ready
      * gate (pure functions of the slots, serialized rather than

@@ -241,7 +241,7 @@ MemoryController::scheduleStep(BusCycle bc)
     return issueReadFrom(served, bc);
 }
 
-void
+bool
 MemoryController::tick(Cycle now)
 {
     const unsigned ratio = timing.params().busRatio;
@@ -256,21 +256,23 @@ MemoryController::tick(Cycle now)
     }
     lastTicked = now;
     if (busPhase != 0)
-        return;
+        return false;
     const BusCycle bc = busCycleNum;
 
     // Idle gate: with nothing queued and no drain batch open,
     // scheduleStep cannot issue or change state — skip it.
     if (schedulerIdle())
-        return;
+        return false;
 
     // Issue at most one request per bus cycle, and never run the
     // command stream more than a couple of bursts ahead of the data
     // bus: a real controller's scheduling window stays adaptive, and
     // locking decisions arbitrarily far into the future would defeat
     // FR-FCFS and the fairness counters.
-    if (inLookahead(bc))
-        scheduleStep(bc);
+    if (!inLookahead(bc))
+        return false;
+    scheduleStep(bc);
+    return true;
 }
 
 Cycle

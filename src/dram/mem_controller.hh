@@ -93,8 +93,13 @@ class MemoryController
     void setL3FillQueueFull(bool full) { l3FillFull = full; }
 
     // -- scheduling --------------------------------------------------------
-    /** Advance to @p now (core cycles); schedules on bus-cycle edges. */
-    void tick(Cycle now);
+    /**
+     * Advance to @p now (core cycles); schedules on bus-cycle edges.
+     * Returns whether a scheduling step ran, which issues a request or
+     * closes a drained write batch (the hierarchy's stall latch counts
+     * it as progress).
+     */
+    bool tick(Cycle now);
 
     /**
      * Earliest core cycle > @p now at which this controller can act:

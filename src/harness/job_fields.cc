@@ -181,15 +181,21 @@ setNumber(const JobField &field, JobSpec &job, double value)
     return {};
 }
 
+/** Parse @p text as a whole decimal integer in [lo, hi]. */
+bool
+parseWhole(const std::string &text, Int lo, Int hi, Int &value)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    return ec == std::errc() && ptr == end && value >= lo && value <= hi;
+}
+
 /** Apply a flag argument; "" or why it is refused. */
 std::string
 setNumber(const JobField &field, JobSpec &job, const std::string &text)
 {
     Int value = 0;
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc() || ptr != end || value < field.lo ||
-        value > field.hi)
+    if (!parseWhole(text, field.lo, field.hi, value))
         return outOfRange(field, "'" + text + "'");
     field.setInt(job, value);
     return {};
@@ -278,6 +284,18 @@ parseJobFlag(int argc, char **argv, int &i, JobSpec &job)
         throw std::invalid_argument(std::string(field->flag) + ": " +
                                     error);
     return true;
+}
+
+std::int64_t
+parseIntOption(const std::string &name, const std::string &text,
+               std::int64_t lo, std::int64_t hi)
+{
+    Int value = 0;
+    if (!parseWhole(text, lo, hi, value))
+        throw std::invalid_argument(
+            name + " must be an integer in [" + std::to_string(lo) + ", " +
+            std::to_string(hi) + "], got '" + text + "'");
+    return value;
 }
 
 } // namespace bop

@@ -36,6 +36,7 @@
 #ifndef BOP_HARNESS_JOB_FIELDS_HH
 #define BOP_HARNESS_JOB_FIELDS_HH
 
+#include <cstdint>
 #include <string>
 
 #include "harness/experiment.hh"
@@ -63,6 +64,17 @@ bool parseJobLine(const std::string &line, JobSpec &job,
  * its argument is missing or refused.
  */
 bool parseJobFlag(int argc, char **argv, int &i, JobSpec &job);
+
+/**
+ * The same range-checked integer parse for a front end's own options
+ * outside the vocabulary (worker counts, retry limits, their
+ * environment defaults): @p text must be a whole decimal integer in
+ * [@p lo, @p hi]. Throws std::invalid_argument naming @p name
+ * otherwise, so a typo never silently becomes 0 or a clamp.
+ */
+std::int64_t parseIntOption(const std::string &name,
+                            const std::string &text, std::int64_t lo,
+                            std::int64_t hi);
 
 } // namespace bop
 

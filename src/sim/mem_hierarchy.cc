@@ -135,7 +135,8 @@ MemHierarchy::MemHierarchy(const SystemConfig &cfg_)
     : cfg(cfg_.resolved()),
       toL3(static_cast<std::size_t>(cfg.numChannels)),
       cores(static_cast<std::size_t>(cfg.numCores), nullptr),
-      chanStalled(static_cast<std::size_t>(cfg.numChannels), 0)
+      chanStalled(static_cast<std::size_t>(cfg.numChannels), 0),
+      channelProgress(static_cast<std::size_t>(cfg.numChannels), 0)
 {
     for (int c = 0; c < cfg.activeCores; ++c)
         sides.push_back(std::make_unique<CoreSide>(cfg, c));
@@ -425,7 +426,7 @@ MemHierarchy::triggerL2Prefetcher(CoreSide &cs, const L2AccessEvent &ev)
         meta.prefetchOffset = cs.l2pf->currentOffset();
         meta.birth = ev.cycle;
 
-        cs.horizonDirty = true;
+        touched(cs);
         const bool cancelled =
             cs.prefetchQueue.insert({target, meta, ev.cycle + 1});
         if (c0) {
@@ -444,10 +445,17 @@ MemHierarchy::processToL2(CoreSide &cs, Cycle now)
         PendingReq &req = cs.toL2.front();
         if (req.readyAt > now)
             break;
-        cs.horizonDirty = true;
+
+        // Gate the miss path before touching the cache, so a blocked
+        // miss retries with no side effects (no stat double-counting),
+        // as in processToL3.
+        FillQueueEntry *e = cs.l2Fill.find(req.line);
+        if (!e && !cs.l2.probe(req.line) && !cs.l2Fill.canAllocateWaiting())
+            break; // backpressure: miss cannot issue yet
+        touched(cs);
 
         // Fill-queue CAM: an in-flight block absorbs this request.
-        if (FillQueueEntry *e = cs.l2Fill.find(req.line)) {
+        if (e) {
             if (e->isPrefetch) {
                 // Late-prefetch promotion (Sec. 5.4).
                 e->isPrefetch = false;
@@ -477,8 +485,6 @@ MemHierarchy::processToL2(CoreSide &cs, Cycle now)
         } else {
             if (c0)
                 ++stats.l2Misses;
-            if (!cs.l2Fill.canAllocateWaiting())
-                break; // backpressure: miss cannot issue yet
             ReqMeta meta = req.meta;
             meta.l2FillId = cs.l2Fill.allocate(req.line, meta, false);
             // Staged, not pushed: the global toL3 queues (and the seq
@@ -500,10 +506,10 @@ MemHierarchy::processToL2(CoreSide &cs, Cycle now)
 void
 MemHierarchy::processWbToL2(CoreSide &cs, Cycle now)
 {
-    if (!cs.wbToL2.empty())
-        cs.horizonDirty = true;
     for (unsigned n = 0; n < wbPerCycle && !cs.wbToL2.empty(); ++n) {
         const LineAddr line = cs.wbToL2.front();
+        // A miss leaves the cache untouched, so a blocked retry is
+        // side-effect free.
         const CacheAccessResult res = cs.l2.access(line, true, false);
         if (!res.hit) {
             if (cs.l2Fill.full())
@@ -513,6 +519,7 @@ MemHierarchy::processWbToL2(CoreSide &cs, Cycle now)
             meta.type = ReqType::Writeback;
             cs.l2Fill.allocateWithData(line, meta, false, now + 1);
         }
+        touched(cs);
         cs.wbToL2.pop_front();
     }
 }
@@ -569,7 +576,7 @@ MemHierarchy::processToL3(Cycle now)
                 e->meta.l1PrefetchBit = req.meta.l1PrefetchBit;
                 // The demand's reserved L2 fill entry is dropped; the
                 // promoted block allocates its own on arrival.
-                cs.horizonDirty = true;
+                touched(cs);
                 cs.l2Fill.release(req.meta.l2FillId);
                 if (e->meta.wasL2Prefetch)
                     cs.l2pf->onLatePromotion(req.line, now);
@@ -597,6 +604,7 @@ MemHierarchy::processToL3(Cycle now)
                     .readQueueFull(req.meta.core)) {
                 chanStalled[best] = 1; // others continue
                 ++bank.l3ChannelStalls;
+                uncoreProgress = true; // a counted stall is no no-op
                 continue;
             }
         }
@@ -606,7 +614,7 @@ MemHierarchy::processToL3(Cycle now)
             ++bank.l3Accesses;
 
         if (will_hit) {
-            cs.horizonDirty = true;
+            touched(cs);
             cs.l2Fill.fillData(req.meta.l2FillId,
                                now + cfg.caches.l3Latency);
         } else {
@@ -614,7 +622,7 @@ MemHierarchy::processToL3(Cycle now)
                 ++bank.l3Misses;
             // Sec. 5.4: on an L3 miss the L2 fill entry is released and
             // the request becomes an L1/L2/L3 miss.
-            cs.horizonDirty = true;
+            touched(cs);
             cs.l2Fill.release(req.meta.l2FillId);
             ReqMeta meta = req.meta;
             meta.l2FillId = invalidMshr;
@@ -658,7 +666,7 @@ MemHierarchy::processPrefetchQueues(Cycle now)
 
             if (bank.fill.find(req->line)) {
                 // Already being fetched: redundant prefetch.
-                cs.horizonDirty = true;
+                touched(cs);
                 cs.prefetchQueue.popFront(now);
                 if (c0)
                     ++stats.l2PrefDropped;
@@ -672,7 +680,7 @@ MemHierarchy::processPrefetchQueues(Cycle now)
                 if (cs.l2Fill.full())
                     continue; // leave in queue, retry
                 bank.cache.access(req->line, false, false);
-                cs.horizonDirty = true;
+                touched(cs);
                 cs.l2Fill.allocateWithData(req->line, req->meta, true,
                                            now + cfg.caches.l3Latency);
                 cs.prefetchQueue.popFront(now);
@@ -686,7 +694,7 @@ MemHierarchy::processPrefetchQueues(Cycle now)
                 bank.fill.entry(meta.l3FillId).meta = meta;
                 controller(ch).enqueueRead(req->line, meta,
                                            now + cfg.caches.l3TagLatency);
-                cs.horizonDirty = true;
+                touched(cs);
                 cs.prefetchQueue.popFront(now);
                 issued = true;
             }
@@ -710,6 +718,7 @@ MemHierarchy::drainDramCompletions(Cycle now)
         for (const CompletedRead &r : mc->popCompleted(now)) {
             assert(r.meta.l3FillId != invalidMshr);
             bankFor(r.line).fill.fillData(r.meta.l3FillId, now + 1);
+            uncoreProgress = true;
         }
     }
 }
@@ -753,6 +762,7 @@ MemHierarchy::drainOneL3Fill(Cycle now)
 
     const FillQueueEntry entry = *e;
     bank->fill.removeById(e->id);
+    uncoreProgress = true;
 
     if (will_insert) {
         CacheFill fill;
@@ -771,7 +781,7 @@ MemHierarchy::drainOneL3Fill(Cycle now)
     }
 
     if (entry.meta.needL2) {
-        cs.horizonDirty = true;
+        touched(cs);
         cs.l2Fill.allocateWithData(line, entry.meta, entry.isPrefetch,
                                    now + 1);
     }
@@ -790,6 +800,7 @@ MemHierarchy::processWbToL3(Cycle now)
         meta.type = ReqType::Writeback;
         bankFor(line).fill.allocateWithData(line, meta, false, now + 1);
         wbToL3.pop_front();
+        uncoreProgress = true;
     }
 }
 
@@ -801,7 +812,7 @@ void
 MemHierarchy::deliverToDl1(CoreSide &cs, LineAddr line, const ReqMeta &meta,
                            Cycle at)
 {
-    cs.horizonDirty = true;
+    touched(cs);
     cs.dl1Due.push_back({line, meta, at});
 }
 
@@ -813,7 +824,7 @@ MemHierarchy::drainL2Fill(CoreSide &cs, Cycle now)
         auto popped = cs.l2Fill.popReady(now);
         if (!popped)
             return;
-        cs.horizonDirty = true;
+        touched(cs);
         FillQueueEntry &entry = *popped;
 
         // Mandatory tag check before inserting (Sec. 5.4): redundant
@@ -860,7 +871,7 @@ MemHierarchy::processDl1Deliveries(CoreSide &cs, Cycle now)
             cs.dl1Due[keep++] = d;
             continue;
         }
-        cs.horizonDirty = true;
+        touched(cs);
 
         // Deliveries are strictly core-local; the completion callback
         // below must target this side's own core (parallel egress).
@@ -918,6 +929,10 @@ MemHierarchy::tick(Cycle now)
 void
 MemHierarchy::tickCoreIngress(CoreId core, Cycle now)
 {
+    // One gate for the serial tick and the parallel engine: a side
+    // with nothing due would only re-scan its empty or future queues.
+    if (!coreIngressWork(core, now))
+        return;
     CoreSide &cs = side(core);
     processWbToL2(cs, now);
     processToL2(cs, now);
@@ -927,16 +942,20 @@ void
 MemHierarchy::commitIngress(Cycle now)
 {
     horizonStaleFlag.store(true, std::memory_order_relaxed);
+    ++ticks;
 
     // Jump-safety for the one piece of per-tick state that advances
     // even when the uncore is idle: processPrefetchQueues moves the
     // round-robin pointer by exactly one on every tick that issues
     // nothing. A fast-forwarded stretch is by construction a run of
-    // such ticks (no prefetch-queue entry was ready anywhere in it),
-    // so catching the pointer up by the gap keeps the arbitration
-    // order bit-identical to single-stepping.
+    // such ticks (no prefetch-queue entry was ready anywhere in it, or
+    // every ready head was blocked under the stall latch), so catching
+    // the pointer up by the gap keeps the arbitration order
+    // bit-identical to single-stepping.
     if (now > lastTicked + 1) {
         const Cycle gap = now - lastTicked - 1;
+        if (stallLatched && latchDropped)
+            stalledSkips += gap; // each would have re-polled a head
         const unsigned active = static_cast<unsigned>(cfg.activeCores);
         prefetchRr = static_cast<unsigned>(
             (prefetchRr + gap) % active);
@@ -968,7 +987,7 @@ MemHierarchy::tickChannel(int channel, Cycle now)
 {
     MemoryController &mc = controller(channel);
     mc.setL3FillQueueFull(l3FillWasFull);
-    mc.tick(now);
+    channelProgress[static_cast<std::size_t>(channel)] = mc.tick(now);
 }
 
 void
@@ -986,6 +1005,8 @@ MemHierarchy::drainUncore(Cycle now)
 void
 MemHierarchy::tickCoreEgress(CoreId core, Cycle now)
 {
+    if (!coreEgressWork(core, now))
+        return;
     CoreSide &cs = side(core);
     drainL2Fill(cs, now);
     processDl1Deliveries(cs, now);
@@ -999,12 +1020,22 @@ MemHierarchy::commitEgress(Cycle now)
     // pushed them directly, but nothing reads wbToL3 between the
     // egress stages and the end of the tick, so deferring the pushes
     // to the barrier leaves next cycle's processWbToL3 input
-    // identical.
+    // identical. (A victim is only staged by a fill, which already
+    // marked its side's progress.)
+    bool progress = uncoreProgress;
     for (auto &sd : sides) {
         for (const auto &wb : sd->stagedWbToL3)
             wbToL3.push_back(wb);
         sd->stagedWbToL3.clear();
+        progress |= sd->progress;
+        sd->progress = false;
     }
+    for (char &ch : channelProgress) {
+        progress |= ch != 0;
+        ch = 0;
+    }
+    uncoreProgress = false;
+    stallLatched = !progress;
 }
 
 bool
@@ -1034,45 +1065,52 @@ MemHierarchy::nextEventAt(Cycle now) const
     const Cycle next = now + 1;
     Cycle ev = neverCycle;
 
+    // Under the stall latch, sources due at or before the last tick
+    // are heads that tick found blocked: drop them (see the header).
+    const Cycle blockedBelow = stallLatched ? lastTicked + 1 : 0;
+    latchDropped = false;
+
     // Helper: fold in a time-gated event; a source already due (or due
     // next cycle) pins the horizon to next, which short-circuits the
     // caller via the `ev == next` checks below.
     const auto fold = [&](Cycle at) {
+        if (at < blockedBelow) {
+            latchDropped = true;
+            return;
+        }
         ev = std::min(ev, std::max(next, at));
     };
 
-    // Per-side horizon sub-cache: each side's contribution is the min
-    // over its time-gated sources, kept in ABSOLUTE cycles (0 = "due
-    // whenever ticked", an unconditionally draining writeback;
-    // neverCycle = idle) so it stays valid as `now` advances. A side
-    // recomputes only when some stage actually mutated it
-    // (horizonDirty); untouched sides fold the cached value and skip
-    // their queue scans entirely. Single-threaded by contract (the
-    // fast-forward decision point), hence the plain mutation of the
-    // cache fields through the const interface.
+    // Per-side horizon sub-cache: each side's sources are kept in
+    // ABSOLUTE cycles (0 = "due whenever ticked", an occupied
+    // writeback buffer; neverCycle = idle) so they stay valid as `now`
+    // advances. A side recomputes only when something actually
+    // mutated it (horizonDirty); untouched sides fold the cached
+    // values and skip their queue scans entirely. Single-threaded by
+    // contract (the fast-forward decision point), hence the plain
+    // mutation of the cache fields through the const interface.
     for (const auto &sd : sides) {
         if (sd->horizonDirty) {
-            Cycle raw = neverCycle;
-            // DL1 dirty victims drain unconditionally while queued.
-            if (!sd->wbToL2.empty()) {
-                raw = 0;
-            } else {
-                // The DL1-miss path is strict FIFO: only the front
-                // gates.
-                if (!sd->toL2.empty())
-                    raw = std::min(raw, sd->toL2.front().readyAt);
-                // Fill-queue entries carrying data insert at their
-                // readyAt; data-less entries wait on downstream
-                // components' events.
-                raw = std::min(raw, sd->l2Fill.minReadyAt());
-                raw = std::min(raw, sd->prefetchQueue.minReadyAt());
-                for (const Dl1Delivery &d : sd->dl1Due)
-                    raw = std::min(raw, d.at);
-            }
-            sd->rawHorizon = raw;
+            sd->wbHead = sd->wbToL2.empty() ? neverCycle : 0;
+            // The DL1-miss path and the prefetch queue are FIFOs in
+            // readyAt order that only ever try their oldest ready
+            // entry: the front gates.
+            sd->toL2Head =
+                sd->toL2.empty() ? neverCycle : sd->toL2.front().readyAt;
+            sd->prefetchHead = sd->prefetchQueue.minReadyAt();
+            // Fill-queue entries carrying data insert at their
+            // readyAt; data-less entries wait on downstream
+            // components' events.
+            Cycle fills = sd->l2Fill.minReadyAt();
+            for (const Dl1Delivery &d : sd->dl1Due)
+                fills = std::min(fills, d.at);
+            sd->fillHorizon = fills;
             sd->horizonDirty = false;
         }
-        fold(sd->rawHorizon);
+        fold(sd->wbHead);
+        fold(sd->toL2Head);
+        fold(sd->prefetchHead);
+        fold(sd->fillHorizon);
         if (ev == next)
             return next;
     }
@@ -1085,9 +1123,15 @@ MemHierarchy::nextEventAt(Cycle now) const
             fold(q.front().readyAt);
     }
     if (!wbToL3.empty())
-        return next;
+        fold(0);
     for (const auto &b : l3Banks) {
-        fold(b->fill.minReadyAt());
+        // The drain tries the oldest ready entry across banks; when
+        // that one is blocked, a later arrival may still be older in
+        // drain order, so the latch keeps the bank's next readyAt.
+        const Cycle at = b->fill.minReadyAt();
+        fold(at);
+        if (at < blockedBelow)
+            fold(b->fill.minReadyAfter(lastTicked));
         if (ev == next)
             return next;
     }
@@ -1230,6 +1274,9 @@ MemHierarchy::serialize(Serializer &s)
         if (toL3.size() != channels)
             s.fail("L3 demand shard count mismatch");
         horizonStaleFlag.store(true, std::memory_order_relaxed);
+        // The latch is not checkpointed: the first tick after a
+        // restore polls every head.
+        stallLatched = false;
     }
 }
 

@@ -125,12 +125,13 @@ class MemHierarchy : public CoreMemInterface
     void tickCoreEgress(CoreId core, Cycle now);
     void commitEgress(Cycle now);
 
-    // Work hints for the per-core phases above (tickChannel's is
+    // Work gates for the per-core phases above (tickChannel's hint is
     // MemoryController::scheduleDue): whether the phase would find
-    // anything due at @p now. System sends a phase to its worker pool
-    // only when enough items have work and otherwise runs it on the
-    // calling thread. The hints pick where the calls run, never which
-    // calls run, so they cannot change results.
+    // anything due at @p now. tickCoreIngress/tickCoreEgress return at
+    // once without work, on the serial tick and the parallel engine
+    // alike, and System sends a phase to its worker pool only when
+    // enough items have work. A gated-off phase would have been a
+    // no-op, so the gates cannot change results.
     bool coreIngressWork(CoreId core, Cycle now) const;
     bool coreEgressWork(CoreId core, Cycle now) const;
 
@@ -139,13 +140,35 @@ class MemHierarchy : public CoreMemInterface
      * (event-horizon fast-forward); neverCycle when every queue is
      * empty and every controller idle. Time-gated queues (fill queues
      * with data, prefetch queues, DL1 deliveries, the inter-level
-     * request queues) report their min-readyAt; anything occupied but
-     * not purely time-gated (writeback buffers, a blocked-but-due
-     * head) conservatively reports now + 1. Contract: ticking the
-     * hierarchy at any cycle strictly between @p now and the returned
-     * horizon would change no state.
+     * request queues) report their min-readyAt; the writeback buffers
+     * report "due now" while occupied. Contract: ticking the hierarchy
+     * at any cycle strictly between @p now and the returned horizon
+     * would change no state.
+     *
+     * Stall latch: when the last tick made no progress (see
+     * stallLatched), every head that was due at it was structurally
+     * blocked — a full fill, read or write queue — and stays blocked
+     * until another component's event frees the resource: a DRAM
+     * completion or bus edge, an L2 fill's readyAt, or a later tick's
+     * progress. Those events are folded as usual, so the blocked heads
+     * (sources due at or before that tick) are dropped instead of
+     * pinning the horizon to now + 1.
      */
     Cycle nextEventAt(Cycle now) const;
+
+    /** True while the stall latch is armed: the last tick made no
+     *  progress (tests). */
+    bool stalled() const { return stallLatched; }
+
+    /** Hierarchy ticks run so far (host-side engine counter). */
+    std::uint64_t ticksRun() const { return ticks; }
+
+    /**
+     * Cycles the stall latch let fast-forward skip: ticks that would
+     * have re-polled a blocked head and changed nothing (host-side
+     * engine counter, not checkpointed).
+     */
+    std::uint64_t stalledTicksSkipped() const { return stalledSkips; }
 
     /** True when uncore state changed since clearHorizonStale() (own
      *  tick, or a core-side entry point pushed work in). Atomic only
@@ -269,14 +292,25 @@ class MemHierarchy : public CoreMemInterface
         std::vector<LineAddr> prefetchScratch;
 
         /**
-         * Horizon sub-cache: min over this side's time-gated sources
-         * (0 = due now, neverCycle = none), recomputed by nextEventAt
-         * only when a stage actually mutated the side. Saves the
-         * full per-side queue scans on the many calls where only one
-         * or two sides moved.
+         * Horizon sub-cache: this side's time-gated sources in
+         * absolute cycles (0 = due now, neverCycle = none), recomputed
+         * by nextEventAt only when something mutated the side. Saves
+         * the per-side queue scans on the many calls where only one or
+         * two sides moved. The heads a full queue can block (the DL1
+         * writeback buffer, the toL2 head, the prefetch-queue head)
+         * stay apart from the fills, which always drain, so the stall
+         * latch can drop a blocked head without hiding a later fill.
          */
-        Cycle rawHorizon = 0;
+        Cycle wbHead = neverCycle;
+        Cycle toL2Head = neverCycle;
+        Cycle prefetchHead = neverCycle;
+        Cycle fillHorizon = neverCycle; ///< L2 fill data, DL1 deliveries
         bool horizonDirty = true;
+
+        /** A tick stage changed this side (stall latch input). Written
+         *  by this side's phases and the serial ones; merged and
+         *  cleared at commitEgress. */
+        bool progress = false;
     };
 
     /**
@@ -315,6 +349,14 @@ class MemHierarchy : public CoreMemInterface
     void processDl1Deliveries(CoreSide &cs, Cycle now);
 
     // -- helpers -------------------------------------------------------------
+    /** A tick stage changed @p cs: its cached horizon is stale and the
+     *  tick made progress. (Core entry points only mark the horizon.) */
+    static void
+    touched(CoreSide &cs)
+    {
+        cs.horizonDirty = true;
+        cs.progress = true;
+    }
     void triggerL2Prefetcher(CoreSide &cs, const L2AccessEvent &ev);
     void issueL1Prefetch(CoreSide &cs, Addr pc, Addr vaddr, Cycle now);
     void deliverToDl1(CoreSide &cs, LineAddr line, const ReqMeta &meta,
@@ -367,6 +409,27 @@ class MemHierarchy : public CoreMemInterface
     bool l3FillWasFull = false;
     RunStats stats;            ///< cumulative core-0 + chip counters
     std::vector<char> chanStalled; ///< per-channel scratch (processToL3)
+
+    /**
+     * Stall latch. A tick makes progress when any stage pops,
+     * allocates, fills, delivers, completes a DRAM read, runs a
+     * controller scheduling step or counts a channel stall (skipping
+     * that tick would lose the count). The flags are kept per shard so
+     * the parallel phases never share one: per side (CoreSide::
+     * progress), per channel, and one for the serial phases; they
+     * merge at commitEgress. A tick without progress arms the latch,
+     * and the next tick (or a restore) disarms it. The only state a
+     * no-progress tick moves is prefetchRr, which commitIngress
+     * catches up over a skipped gap.
+     */
+    bool uncoreProgress = false;
+    std::vector<char> channelProgress;
+    bool stallLatched = false;
+    /** nextEventAt dropped a blocked head under the latch (counter
+     *  input; refreshed by every nextEventAt call). */
+    mutable bool latchDropped = false;
+    std::uint64_t ticks = 0;        ///< see ticksRun()
+    std::uint64_t stalledSkips = 0; ///< see stalledTicksSkipped()
 
     // per-cycle processing budgets; the L3-stage budgets are per
     // channel pair, so the paper's 2-channel chip gets exactly the

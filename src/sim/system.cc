@@ -181,6 +181,7 @@ System::step()
 void
 System::stepAt(Cycle at)
 {
+    epochs.skippedCycles += at - now - 1;
     now = at;
     // Tick only the components whose horizon is due. Skipped ticks are
     // exactly the ones the horizon contract proves are no-ops; ticking

@@ -32,9 +32,9 @@ namespace bop
 RunStats deltaStats(const RunStats &end, const RunStats &begin);
 
 /**
- * How System executed its parallel epochs (observation only: the
- * counts depend on the schedule, never the reverse). All zero on the
- * serial path.
+ * How System's engine ran (observation only: the counts depend on the
+ * schedule, never the reverse; host-side, outside RunStats, so they
+ * move no stats digest). The epoch counts are zero on the serial path.
  */
 struct EpochCounters
 {
@@ -44,6 +44,14 @@ struct EpochCounters
     std::uint64_t inlined = 0;
     /** Batched fast-forward core epochs (always on the pool). */
     std::uint64_t batched = 0;
+    /** Uncore (MemHierarchy) ticks run. */
+    std::uint64_t hierarchyTicks = 0;
+    /** Cycles the per-event clock jumped over with no component
+     *  ticking (a step from t to t + k skips k - 1). */
+    std::uint64_t skippedCycles = 0;
+    /** Uncore ticks skipped because the stall latch showed they would
+     *  only re-poll a blocked head (MemHierarchy::nextEventAt). */
+    std::uint64_t stalledSkips = 0;
 };
 
 /** The simulated chip. */
@@ -147,8 +155,15 @@ class System
         return pool ? static_cast<int>(pool->workerCount()) : 1;
     }
 
-    /** Cumulative epoch execution counts (tests, profiling). */
-    const EpochCounters &epochCounters() const { return epochs; }
+    /** Cumulative engine counts (tests, profiling). */
+    EpochCounters
+    epochCounters() const
+    {
+        EpochCounters e = epochs;
+        e.hierarchyTicks = hier.ticksRun();
+        e.stalledSkips = hier.stalledTicksSkipped();
+        return e;
+    }
 
     /** Progress window of the per-core deadlock watchdog. */
     static constexpr Cycle watchdogCycles = 1000000;

@@ -28,6 +28,7 @@
 #include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "sim/system.hh"
+#include "stall_configs.hh"
 
 namespace bop
 {
@@ -235,6 +236,38 @@ TEST(CheckpointEquivalence, MidBurstSaveIsNotQuiescent)
     const RunOutcome cold = coldRun("429.mcf", cfg, 2500, kMeasure);
     EXPECT_TRUE(cold.stats == after_restore);
     EXPECT_EQ(cold.finalCycle, restored.currentCycle());
+}
+
+TEST(CheckpointEquivalence, SaveMidStallRestoresPolling)
+{
+    // Save while the stall latch is armed: the latch is not part of
+    // the checkpoint, so the restored System polls its first tick
+    // where the saver skips ahead. Skipped stalled ticks are no-ops,
+    // so both must still finish exactly like an uninterrupted run.
+    const SystemConfig cfg = shrunkQueues(4);
+    auto warmToStall = [&](System &sys) {
+        sys.warmup(kWarm);
+        while (!sys.hierarchy().stalled())
+            sys.step();
+    };
+
+    System uninterrupted(cfg, makeTraces("429.mcf", cfg));
+    warmToStall(uninterrupted);
+    const RunStats reference = uninterrupted.measure(kMeasure);
+
+    System saver(cfg, makeTraces("429.mcf", cfg));
+    warmToStall(saver);
+    const std::vector<std::uint8_t> bytes = saver.saveCheckpointBytes();
+    System restored(cfg, makeTraces("429.mcf", cfg));
+    restored.restoreCheckpointBytes(bytes);
+    EXPECT_FALSE(restored.hierarchy().stalled());
+
+    const RunStats after_restore = restored.measure(kMeasure);
+    EXPECT_TRUE(reference == after_restore);
+    EXPECT_EQ(reference.cycles, after_restore.cycles);
+    EXPECT_EQ(uninterrupted.currentCycle(), restored.currentCycle());
+    EXPECT_GT(restored.epochCounters().stalledSkips, 0u);
+    EXPECT_TRUE(saver.measure(kMeasure) == reference);
 }
 
 TEST(CheckpointEquivalence, SaveRestoreSaveByteIdentical)

@@ -9,6 +9,9 @@
  *    bench x cores x page combinations of tests/test_topology.cc) and
  *    a prefetcher sweep produce bit-identical RunStats and final cycle
  *    counts with fast-forward on and off;
+ *  - stall equivalence: stall-heavy 4- and 16-core design points
+ *    (tests/stall_configs.hh), where the stall latch skips most uncore
+ *    ticks, are bit-identical too, and the latch provably engages;
  *  - horizon soundness: single-stepping a reference (fast-forward off)
  *    system, the published nextEventCycle() must never claim a jump
  *    across a cycle in which observable state then changes;
@@ -27,6 +30,7 @@
 #include "dram/mem_controller.hh"
 #include "harness/experiment.hh"
 #include "sim/system.hh"
+#include "stall_configs.hh"
 #include "trace/generators.hh"
 #include "trace/workloads.hh"
 
@@ -43,21 +47,31 @@ struct RunOutcome
 {
     RunStats stats;
     Cycle finalCycle = 0;
+    EpochCounters engine;
 };
+
+/** Traces for @p bench, or the channel pile-up streams for "pileup". */
+std::vector<std::unique_ptr<TraceSource>>
+tracesFor(const std::string &bench, const SystemConfig &cfg)
+{
+    return bench == "pileup" ? pileupTraces(cfg) : makeTraces(bench, cfg);
+}
 
 RunOutcome
 runBench(const std::string &bench, SystemConfig cfg, bool fast_forward,
          std::uint64_t warmup, std::uint64_t measure)
 {
     cfg.fastForward = fast_forward;
-    System sys(cfg, makeTraces(bench, cfg));
+    System sys(cfg, tracesFor(bench, cfg));
     RunOutcome out;
     out.stats = sys.run(warmup, measure);
     out.finalCycle = sys.currentCycle();
+    out.engine = sys.epochCounters();
     return out;
 }
 
-void
+/** Returns the fast-forward run's outcome for further checks. */
+RunOutcome
 expectEquivalent(const std::string &bench, const SystemConfig &cfg,
                  std::uint64_t warmup, std::uint64_t measure,
                  const std::string &label)
@@ -70,6 +84,9 @@ expectEquivalent(const std::string &bench, const SystemConfig &cfg,
     // silently vacuously pass.
     EXPECT_EQ(on.stats.cycles, off.stats.cycles) << label;
     EXPECT_EQ(on.stats.dramReads, off.stats.dramReads) << label;
+    EXPECT_EQ(on.stats.l3ChannelStalls, off.stats.l3ChannelStalls)
+        << label;
+    return on;
 }
 
 TEST(FastForwardEquivalence, PinnedTopologyConfigsBitIdentical)
@@ -109,6 +126,54 @@ TEST(FastForwardEquivalence, PrefetcherSweepBitIdentical)
     }
 }
 
+// ---------------------------------------------------------------------------
+// Stall latch: blocked heads wait for the event that frees them
+// ---------------------------------------------------------------------------
+
+TEST(FastForwardStalls, FourCoreShrunkQueuesBitIdentical)
+{
+    const RunOutcome on = expectEquivalent(
+        "429.mcf", shrunkQueues(4), 5000, 20000, "4-core shrunk queues");
+    EXPECT_GT(on.engine.stalledSkips, 0u) << "the latch must engage";
+}
+
+TEST(FastForwardStalls, FourCoreChannelPileupBitIdentical)
+{
+    const RunOutcome on = expectEquivalent("pileup", channelPileup(), 0,
+                                           10000, "4-core channel pileup");
+    EXPECT_GT(on.stats.l3ChannelStalls, 0u)
+        << "the pile-up must park channels for this case to bite";
+    EXPECT_GT(on.engine.stalledSkips, 0u);
+}
+
+TEST(FastForwardStalls, SixteenCoreShrunkQueuesBitIdentical)
+{
+    const RunOutcome on = expectEquivalent(
+        "429.mcf", shrunkQueues(16), 1000, 4000, "16-core shrunk queues");
+    EXPECT_GT(on.engine.stalledSkips, 0u);
+}
+
+TEST(FastForwardStalls, LatchEngagesOnFourCoreLibquantum)
+{
+    // The motivating shape: 4-core/4KB BO on a memory-heavy benchmark,
+    // where prefetch and L3 demand heads sit blocked on a full L3 fill
+    // queue. If the latch were silently disabled, every one of those
+    // cycles would be an uncore tick again.
+    SystemConfig cfg = baselineConfig(4, PageSize::FourKB);
+    cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
+    const RunOutcome on =
+        runBench("462.libquantum", cfg, true, 5000, 20000);
+    EXPECT_GT(on.engine.stalledSkips, 0u);
+    EXPECT_GT(on.engine.skippedCycles, 0u);
+    EXPECT_LT(on.engine.hierarchyTicks, on.finalCycle);
+
+    const RunOutcome off =
+        runBench("462.libquantum", cfg, false, 5000, 20000);
+    EXPECT_EQ(off.engine.hierarchyTicks, off.finalCycle)
+        << "the reference loop ticks the uncore every cycle";
+    EXPECT_EQ(off.engine.skippedCycles + off.engine.stalledSkips, 0u);
+}
+
 TEST(FastForwardEquivalence, EnvOverrideDisables)
 {
     SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
@@ -137,8 +202,8 @@ observableState(System &sys)
     std::vector<std::uint64_t> v = {
         s.dl1Accesses, s.dl1Misses,  s.dl1PrefIssued, s.l2Accesses,
         s.l2Misses,    s.l2PrefIssued, s.l2PrefFills, s.l2PrefDropped,
-        s.l2LatePromotions, s.l3Accesses, s.l3Misses, s.dramReads,
-        s.dramWrites,  s.dtlb1Misses};
+        s.l2LatePromotions, s.l3Accesses, s.l3Misses, s.l3ChannelStalls,
+        s.dramReads,   s.dramWrites,  s.dtlb1Misses};
     for (int c = 0; c < sys.coreCount(); ++c) {
         v.push_back(sys.core(c).retired());
         v.push_back(sys.core(c).robOccupancy());
@@ -152,7 +217,7 @@ expectHorizonSound(SystemConfig cfg, const std::string &bench,
                    std::uint64_t instrs)
 {
     cfg.fastForward = false; // brute-force reference stepping
-    System sys(cfg, makeTraces(bench, cfg));
+    System sys(cfg, tracesFor(bench, cfg));
     while (sys.core(0).retired() < instrs) {
         const Cycle now = sys.currentCycle();
         const Cycle horizon = sys.nextEventCycle();
@@ -180,6 +245,18 @@ TEST(FastForwardSoundness, FourCoreContention)
     SystemConfig cfg = baselineConfig(4, PageSize::FourKB);
     cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
     expectHorizonSound(cfg, "462.libquantum", 8000);
+}
+
+TEST(FastForwardSoundness, StalledShrunkQueues)
+{
+    // Under the stall latch a horizon skips blocked heads; the ticks
+    // it skips must still change nothing.
+    expectHorizonSound(shrunkQueues(4), "429.mcf", 3000);
+}
+
+TEST(FastForwardSoundness, StalledChannelPileup)
+{
+    expectHorizonSound(channelPileup(), "pileup", 2000);
 }
 
 // ---------------------------------------------------------------------------
@@ -341,6 +418,23 @@ TEST(FillQueueMinReady, ReleasingTheMinimumMidQueueRecomputes)
     EXPECT_EQ(fq.minReadyAt(), 50u);
     ASSERT_TRUE(fq.popReady(50).has_value());
     EXPECT_EQ(fq.minReadyAt(), neverCycle);
+}
+
+TEST(FillQueueMinReady, MinReadyAfterSkipsBlockedEntries)
+{
+    // The stall latch's view of an L3 bank: entries due at or before
+    // the blocked tick are skipped, later data still counts, and
+    // data-less entries never do.
+    FillQueue fq("test", 8);
+    ReqMeta meta;
+    fq.allocate(0x10, meta, false);
+    fq.allocateWithData(0x20, meta, false, 30);
+    fq.allocateWithData(0x30, meta, false, 70);
+    fq.allocateWithData(0x40, meta, false, 50);
+    EXPECT_EQ(fq.minReadyAfter(0), 30u);
+    EXPECT_EQ(fq.minReadyAfter(30), 50u);
+    EXPECT_EQ(fq.minReadyAfter(60), 70u);
+    EXPECT_EQ(fq.minReadyAfter(70), neverCycle);
 }
 
 TEST(PrefetchQueueMinReady, MaintainedAcrossOverflowCancel)

@@ -187,6 +187,29 @@ TEST(Hierarchy, MultiCoreThrasherReducesCore0Ipc)
         << "L3/bandwidth contention must hurt core 0 (paper Fig. 2)";
 }
 
+TEST(Hierarchy, BlockedL2MissCountedOnce)
+{
+    // An L2 fill queue of 3 with its 2-slot waiting reserve admits one
+    // data-less miss at a time, so a streaming miss sequence keeps the
+    // next toL2 head retrying against the reserve for several cycles.
+    // Each retry must leave no trace: every request (one per DL1 miss
+    // here — 64-byte steps over fresh lines, no prefetchers, so no
+    // MSHR or fill-queue coalescing) is counted as one L2 access and
+    // one L2 miss, however long it waited. Up to one MSHR file of
+    // requests may still be queued when the window closes.
+    SystemConfig cfg = cfg1core(L2PrefetcherKind::None);
+    cfg.dl1StridePrefetcher = false;
+    cfg.caches.l2FillQueue = 3;
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    traces.push_back(seqTrace(32ull << 20, 64));
+    System sys(cfg, std::move(traces));
+    const RunStats stats = sys.run(0, 4000);
+    ASSERT_GT(stats.dl1Misses, 500u);
+    EXPECT_LE(stats.l2Accesses, stats.dl1Misses);
+    EXPECT_GE(stats.l2Accesses + cfg.caches.dl1Mshrs, stats.dl1Misses);
+    EXPECT_EQ(stats.l2Misses, stats.l2Accesses);
+}
+
 TEST(Hierarchy, QuiescesAfterDrain)
 {
     std::vector<std::unique_ptr<TraceSource>> traces;

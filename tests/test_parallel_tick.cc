@@ -18,6 +18,7 @@
 #include "harness/experiment.hh"
 #include "sim/mem_hierarchy.hh"
 #include "sim/system.hh"
+#include "stall_configs.hh"
 #include "trace/workloads.hh"
 
 namespace bop
@@ -209,6 +210,28 @@ TEST(ParallelTick, SixteenCoreEightChannelThrasher)
     expectThreadEquivalence(cfg, "462.libquantum", 1000, 3000);
     cfg.fastForward = false;
     expectThreadEquivalence(cfg, "462.libquantum", 500, 1500);
+}
+
+TEST(ParallelTick, StallHeavyMatchesSerial)
+{
+    // The stall latch's progress flags are written from the parallel
+    // phases (per side, per channel) and merged at commitEgress; on
+    // designs where most uncore ticks are skipped as stalled, threads
+    // 4 must still retrace the serial schedule exactly.
+    for (const int cores : {4, 16}) {
+        const SystemConfig cfg = shrunkQueues(cores);
+        const std::uint64_t warm = cores == 4 ? 5000 : 1000;
+        const std::uint64_t measure = cores == 4 ? 20000 : 4000;
+        EpochCounters epochs;
+        const RunStats serial =
+            runWith(cfg, "429.mcf", 1, warm, measure, &epochs);
+        EXPECT_GT(epochs.stalledSkips, 0u) << cores << " cores";
+        const RunStats parallel =
+            runWith(cfg, "429.mcf", 4, warm, measure, &epochs);
+        expectStatsEqual(parallel, serial,
+                         "429.mcf " + cfg.describe() + " threads=4");
+        EXPECT_GT(epochs.stalledSkips, 0u) << cores << " cores";
+    }
 }
 
 TEST(ParallelTick, PoolCappedAtWidestPhase)

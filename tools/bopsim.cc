@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -165,11 +166,19 @@ main(int argc, char **argv)
     std::string journal_path;
     std::string resume_path;
     int retries = -1; ///< <0 = not given; BOP_RETRIES rules
-    if (const char *j = std::getenv("BOP_JOBS")) {
-        const int env_jobs = std::atoi(j);
-        if (env_jobs >= 1)
-            jobs = env_jobs;
-    }
+    // Worker counts and retry limits: whole integers in range, or a
+    // refusal naming the option (never a silent serial run).
+    auto int_option = [](const std::string &name, const std::string &text,
+                         int lo) {
+        try {
+            return static_cast<int>(parseIntOption(
+                name, text, lo, std::numeric_limits<int>::max()));
+        } catch (const std::invalid_argument &e) {
+            die(e.what());
+        }
+    };
+    if (const char *j = std::getenv("BOP_JOBS"); j && *j)
+        jobs = int_option("BOP_JOBS", j, 1);
 
     auto next_arg = [&](int &i) -> std::string {
         if (i + 1 >= argc)
@@ -204,9 +213,7 @@ main(int argc, char **argv)
         } else if (arg == "--serve") {
             serve = true;
         } else if (arg == "--jobs") {
-            jobs = std::atoi(next_arg(i).c_str());
-            if (jobs < 1)
-                jobs = 1;
+            jobs = int_option(arg, next_arg(i), 1);
         } else if (arg == "--backlog") {
             backlog = static_cast<std::size_t>(
                 std::strtoull(next_arg(i).c_str(), nullptr, 10));
@@ -225,9 +232,7 @@ main(int argc, char **argv)
         } else if (arg == "--resume") {
             resume_path = next_arg(i);
         } else if (arg == "--retries") {
-            retries = std::atoi(next_arg(i).c_str());
-            if (retries < 0)
-                retries = 0;
+            retries = int_option(arg, next_arg(i), 0);
         } else if (!job_flag(i)) {
             usage(argv[0]);
             die("unknown option '" + arg + "'");
