@@ -4,17 +4,19 @@
  * checkpoint equivalence suites. Each keeps the uncore's queues full
  * for most of the run, so structurally blocked heads — and the stall
  * latch that stops re-polling them — are the common case, not a
- * corner. Measured with per-path counters on a scratch build, at the
- * budgets the suites use:
+ * corner. Measured with per-path counters on an instrumented build,
+ * at the budgets the suites use:
  *
  *  - shrunkQueues(4) with 429.mcf: blocked prefetch heads, toL3 heads
  *    on a full L3 fill queue, L3-fill drains on a full DRAM write
  *    queue (and, rarely, a full L2 fill queue), L2 writebacks on a
  *    full L3 fill queue and L2 misses at the fill-queue reserve;
- *  - shrunkQueues(16) with 429.mcf: the same heads across 16 cores;
+ *  - shrunkQueues(16) with 429.mcf: blocked prefetch, toL3 and
+ *    L2-miss heads across 16 cores;
  *  - channelPileup() with pileupTraces(): per-core DRAM read queues
  *    fill on the piled-on channels while the wide L3 fill queue has
- *    room, so the demand stage counts l3ChannelStalls.
+ *    room, so the demand stage counts l3ChannelStalls and prefetch
+ *    heads wait on the full read queues.
  *
  * The DRAM read/write queues are fixed at Table 1's 32 entries per
  * core (there is no knob to shrink them), so they fill here from slow
