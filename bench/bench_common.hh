@@ -12,6 +12,7 @@
 #ifndef BOP_BENCH_BENCH_COMMON_HH
 #define BOP_BENCH_BENCH_COMMON_HH
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -31,100 +32,103 @@ namespace bop
 {
 
 /**
- * A whole integer option in [@p lo, INT_MAX], checked like bopsim's
- * numeric flags (harness/job_fields): anything else exits 2 naming
- * @p name, so `--jobs abc` cannot silently run serially.
+ * Options shared by the figure benches: the BOP_* settings (budget,
+ * jobs, retries, ...), which --jobs and --retries override, plus the
+ * bench flags.
  */
-inline int
-benchIntOption(const char *prog, const std::string &name,
-               const std::string &text, int lo)
-{
-    try {
-        return static_cast<int>(parseIntOption(
-            name, text, lo, std::numeric_limits<int>::max()));
-    } catch (const std::invalid_argument &e) {
-        std::cerr << prog << ": " << e.what() << "\n";
-        std::exit(2);
-    }
-}
-
-/** Command-line options shared by the figure benches. */
-struct BenchOptions
+struct BenchOptions : EnvSettings
 {
     std::string jsonPath; ///< --json PATH: machine-readable run records
-    int jobs = 1;         ///< --jobs N / BOP_JOBS: sweep-farm workers
     std::string journalPath; ///< --journal FILE: write-ahead journal
     std::string resumePath;  ///< --resume FILE: replay a journal
-    int retries = -1; ///< --retries N (-1: runner default, BOP_RETRIES)
+    bool retriesGiven = false; ///< --retries appeared on the command line
 };
 
+/** The standard bench usage text. */
+inline void
+printBenchUsage(const char *prog, bool positional)
+{
+    std::cerr << "usage: " << prog << " [--json PATH]"
+              << " [--jobs N] [--journal FILE] [--resume FILE]"
+              << " [--retries N]" << (positional ? " [benchmark]" : "")
+              << "\n"
+              << "  --json PATH     write one JSON record per "
+                 "simulation run to PATH\n"
+              << "  --jobs N        sweep-farm worker threads "
+                 "(default BOP_JOBS or 1; records are\n"
+              << "                  byte-identical for every N, "
+                 "timing fields aside)\n"
+              << "  --journal FILE  append every committed "
+                 "record to a crash-durable write-ahead\n"
+              << "                  journal "
+                 "(fsync-on-commit; docs/ROBUSTNESS.md)\n"
+              << "  --resume FILE   replay a journal before "
+                 "sweeping: journaled jobs commit\n"
+              << "                  verbatim, only the rest "
+                 "simulate\n"
+              << "  --retries N     retry transient (kind "
+                 "\"io\") failures in place up to N\n"
+              << "                  times with exponential "
+                 "backoff (default BOP_RETRIES or 0)\n";
+}
+
 /**
- * Parse the standard bench arguments. Exits with usage on stderr when
- * an unknown option is seen, so a typo cannot silently run the full
- * (expensive) figure. When @p positional is non-null, one bare
- * argument is accepted and stored there (e.g. a benchmark name).
+ * Parse the BOP_* variables and the standard bench arguments. Exits 2
+ * with usage on stderr when an unknown option is seen, so a typo
+ * cannot silently run the full (expensive) figure, and exits 2 naming
+ * the option or variable when a number is malformed or out of range,
+ * so `--jobs abc` cannot silently run serially. When @p positional is
+ * non-null, one bare argument is accepted and stored there (e.g. a
+ * benchmark name).
  */
 inline BenchOptions
 parseBenchOptions(int argc, char **argv, std::string *positional = nullptr)
 {
+    constexpr std::int64_t intMax = std::numeric_limits<int>::max();
     BenchOptions opts;
-    if (const char *j = std::getenv("BOP_JOBS"); j && *j)
-        opts.jobs = benchIntOption(argv[0], "BOP_JOBS", j, 1);
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--json" && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = benchIntOption(argv[0], arg, argv[++i], 1);
-        } else if (arg == "--journal" && i + 1 < argc) {
-            opts.journalPath = argv[++i];
-        } else if (arg == "--resume" && i + 1 < argc) {
-            opts.resumePath = argv[++i];
-        } else if (arg == "--retries" && i + 1 < argc) {
-            opts.retries = benchIntOption(argv[0], arg, argv[++i], 0);
-        } else if (positional && !arg.empty() && arg[0] != '-') {
-            *positional = arg;
-        } else {
-            std::cerr << "usage: " << argv[0] << " [--json PATH]"
-                      << " [--jobs N] [--journal FILE] [--resume FILE]"
-                      << " [--retries N]"
-                      << (positional ? " [benchmark]" : "") << "\n"
-                      << "  --json PATH     write one JSON record per "
-                         "simulation run to PATH\n"
-                      << "  --jobs N        sweep-farm worker threads "
-                         "(default BOP_JOBS or 1; records are\n"
-                      << "                  byte-identical for every N, "
-                         "timing fields aside)\n"
-                      << "  --journal FILE  append every committed "
-                         "record to a crash-durable write-ahead\n"
-                      << "                  journal "
-                         "(fsync-on-commit; docs/ROBUSTNESS.md)\n"
-                      << "  --resume FILE   replay a journal before "
-                         "sweeping: journaled jobs commit\n"
-                      << "                  verbatim, only the rest "
-                         "simulate\n"
-                      << "  --retries N     retry transient (kind "
-                         "\"io\") failures in place up to N\n"
-                      << "                  times with exponential "
-                         "backoff (default BOP_RETRIES or 0)\n";
-            std::exit(arg == "--help" || arg == "-h" ? 0 : 2);
+    try {
+        static_cast<EnvSettings &>(opts) = readEnvSettings(FrontEnd::Bench);
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--json" && i + 1 < argc) {
+                opts.jsonPath = argv[++i];
+            } else if (arg == "--jobs" && i + 1 < argc) {
+                opts.jobs = static_cast<int>(
+                    parseIntOption(arg, argv[++i], 1, intMax));
+            } else if (arg == "--journal" && i + 1 < argc) {
+                opts.journalPath = argv[++i];
+            } else if (arg == "--resume" && i + 1 < argc) {
+                opts.resumePath = argv[++i];
+            } else if (arg == "--retries" && i + 1 < argc) {
+                opts.retries = static_cast<int>(
+                    parseIntOption(arg, argv[++i], 0, intMax));
+                opts.retriesGiven = true;
+            } else if (positional && !arg.empty() && arg[0] != '-') {
+                *positional = arg;
+            } else {
+                printBenchUsage(argv[0], positional != nullptr);
+                std::exit(arg == "--help" || arg == "-h" ? 0 : 2);
+            }
         }
+    } catch (const std::invalid_argument &e) {
+        std::cerr << argv[0] << ": " << e.what() << "\n";
+        std::exit(2);
     }
     return opts;
 }
 
 /**
- * Apply the durability options to a runner: resume first (replaying
- * an existing journal), then attach the write-ahead journal for this
- * session's commits. Refusals (budget mismatch, corrupt journal) are
- * fatal with the named mismatch on stderr — a sweep must never
- * silently proceed past a journal it could not honour.
+ * Apply the options to a runner built with opts.budget: the BOP_*
+ * runner settings, then resume (replaying an existing journal), then
+ * attach the write-ahead journal for this session's commits. Refusals
+ * (budget mismatch, corrupt journal) are fatal with the named mismatch
+ * on stderr — a sweep must never silently proceed past a journal it
+ * could not honour.
  */
 inline void
 configureBenchRunner(ExperimentRunner &runner, const BenchOptions &opts)
 {
-    if (opts.retries >= 0)
-        runner.setRetries(opts.retries);
+    configureRunner(runner, opts);
     try {
         if (!opts.resumePath.empty())
             runner.resumeFromJournal(opts.resumePath, std::cerr);

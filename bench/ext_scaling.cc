@@ -55,7 +55,7 @@ main(int argc, char **argv)
     std::string bench = "462.libquantum";
     const BenchOptions opts = parseBenchOptions(argc, argv, &bench);
     if (!opts.journalPath.empty() || !opts.resumePath.empty() ||
-        opts.retries >= 0) {
+        opts.retriesGiven) {
         std::cerr << argv[0]
                   << ": --journal/--resume/--retries are not supported: "
                      "this bench runs its Systems outside the sweep "
@@ -65,7 +65,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    ExperimentRunner runner;
+    ExperimentRunner runner(opts.budget);
     benchHeader("Scaling study: BO under contention at 1-16 cores "
                 "(benchmark " + bench + " on core 0, thrashers elsewhere)",
                 runner);
@@ -76,8 +76,7 @@ main(int argc, char **argv)
     // determinism contract: job_index at submit, output after drain).
     std::deque<ScaleRun> slots;
     {
-        TaskPool pool(
-            static_cast<unsigned>(opts.jobs < 1 ? 1 : opts.jobs));
+        TaskPool pool(static_cast<unsigned>(opts.jobs));
         for (const int cores : scalingCoreCounts()) {
             SystemConfig cfg = baselineConfig(cores, PageSize::FourKB);
             cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;

@@ -57,7 +57,7 @@ main(int argc, char **argv)
     // at the default figure budgets would freeze them mid-training
     // (D=1). Tripling the warm-up leaves the measured window and every
     // other bench untouched.
-    Budget budget = Budget::fromEnv();
+    Budget budget = opts.budget;
     budget.warmup *= 3;
     ExperimentRunner runner(budget);
     configureBenchRunner(runner, opts);

@@ -13,7 +13,7 @@ main(int argc, char **argv)
 {
     using namespace bop;
     const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
+    ExperimentRunner runner(opts.budget);
     configureBenchRunner(runner, opts);
     SweepFarm farm(runner, opts.jobs);
     benchHeader("Figure 2: baseline IPC (next-line L2 prefetch, 5P L3)",

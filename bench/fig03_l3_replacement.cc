@@ -15,7 +15,7 @@ main(int argc, char **argv)
 {
     using namespace bop;
     const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
+    ExperimentRunner runner(opts.budget);
     configureBenchRunner(runner, opts);
     SweepFarm farm(runner, opts.jobs);
     benchHeader("Figure 3: LRU and DRRIP vs the 5P baseline (4KB pages)",

@@ -11,10 +11,8 @@
  * bumps at 5k+3; 462 improves steadily with offset size (timeliness).
  *
  * The sweep samples every second offset by default; set BOP_SWEEP_STEP
- * to change the sampling (1 = every offset).
+ * in [1, 256] to change the sampling (1 = every offset).
  */
-
-#include <cstdlib>
 
 #include "bench_common.hh"
 
@@ -23,15 +21,13 @@ main(int argc, char **argv)
 {
     using namespace bop;
     const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
+    ExperimentRunner runner(opts.budget);
     configureBenchRunner(runner, opts);
     SweepFarm farm(runner, opts.jobs);
     benchHeader("Figure 8: fixed-offset sweep (4MB pages, 1 core)",
                 runner);
 
-    int step = 2;
-    if (const char *s = std::getenv("BOP_SWEEP_STEP"))
-        step = std::max(1, std::atoi(s));
+    const int step = opts.sweepStep;
 
     const std::vector<std::string> benches = {
         "433.milc", "459.GemsFDTD", "470.lbm", "462.libquantum"};

@@ -12,7 +12,7 @@ main(int argc, char **argv)
 {
     using namespace bop;
     const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
+    ExperimentRunner runner(opts.budget);
     configureBenchRunner(runner, opts);
     SweepFarm farm(runner, opts.jobs);
     benchHeader("Figure 11: BO vs SBP (geomean speedups)", runner);

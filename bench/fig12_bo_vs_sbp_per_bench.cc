@@ -13,7 +13,7 @@ main(int argc, char **argv)
 {
     using namespace bop;
     const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
+    ExperimentRunner runner(opts.budget);
     configureBenchRunner(runner, opts);
     SweepFarm farm(runner, opts.jobs);
     benchHeader("Figure 12: BO speedup relative to SBP", runner);

@@ -20,7 +20,7 @@ main(int argc, char **argv)
     // No simulations here, but the CLI stays uniform with the other
     // benches (an empty record array is still a valid artifact).
     const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
+    ExperimentRunner runner(opts.budget);
     configureBenchRunner(runner, opts);
 
     std::cout << "=== Table 1: baseline microarchitecture ===\n\n";

@@ -44,8 +44,8 @@ namespace bop
 {
 
 /**
- * A job exceeded its wall-clock deadline (BOP_JOB_TIMEOUT /
- * --job-timeout). Its own exception type so the harness layers can
+ * A job exceeded its wall-clock deadline
+ * (ExperimentRunner::setJobTimeout()). Its own exception type so the harness layers can
  * classify the resulting error record as kind "timeout".
  */
 class JobTimeout : public std::runtime_error

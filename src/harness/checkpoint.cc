@@ -46,37 +46,18 @@ namespace bop
 namespace
 {
 
-/** Little-endian scalar stores into the container header. */
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
+/** Little-endian u64: the low word, then the high word. */
 void
 putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t
-getU32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
+    putU32(out, static_cast<std::uint32_t>(v));
+    putU32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
 std::uint64_t
 getU64(const std::uint8_t *p)
 {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
+    return getU32(p) | static_cast<std::uint64_t>(getU32(p + 4)) << 32;
 }
 
 /** Section tags, in on-disk order. */
@@ -187,6 +168,35 @@ validateContainer(const std::vector<std::uint8_t> &bytes,
 
 } // namespace
 
+void
+appendBytes(std::vector<std::uint8_t> &out, const void *bytes,
+            std::size_t n)
+{
+    if (n == 0)
+        return;
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    std::memcpy(out.data() + at, bytes, n);
+}
+
+void
+putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
+{
+    std::uint8_t bytes[4];
+    for (int i = 0; i < 4; ++i)
+        bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    appendBytes(out, bytes, sizeof bytes);
+}
+
+std::uint32_t
+getU32(const std::uint8_t *p)
+{
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+    return v;
+}
+
 std::uint64_t
 checkpointFingerprint(System &sys)
 {
@@ -241,17 +251,16 @@ System::saveCheckpointBytes()
         total += checkpointSectionHeaderBytes + p.size();
     out.reserve(total);
 
-    out.insert(out.end(), checkpointMagic,
-               checkpointMagic + sizeof(checkpointMagic));
+    appendBytes(out, checkpointMagic, sizeof checkpointMagic);
     putU32(out, checkpointVersion);
     putU64(out, checkpointFingerprint(*this));
     putU32(out, checkpointSectionCount);
     for (std::uint32_t i = 0; i < checkpointSectionCount; ++i) {
         const auto &p = payloads[i];
-        out.insert(out.end(), sectionTags[i], sectionTags[i] + 4);
+        appendBytes(out, sectionTags[i], 4);
         putU64(out, p.size());
         putU32(out, crc32(p.data(), p.size()));
-        out.insert(out.end(), p.begin(), p.end());
+        appendBytes(out, p.data(), p.size());
     }
     return out;
 }

@@ -74,6 +74,17 @@ constexpr std::uint32_t checkpointSectionCount = 5;
 std::uint64_t checkpointFingerprint(System &sys);
 
 /**
+ * Append @p n raw bytes to @p out (resize, then memcpy): the one
+ * byte-append path behind the container and checkpoint-cache headers.
+ */
+void appendBytes(std::vector<std::uint8_t> &out, const void *bytes,
+                 std::size_t n);
+
+/** Little-endian u32 store and load, as in the container header. */
+void putU32(std::vector<std::uint8_t> &out, std::uint32_t v);
+std::uint32_t getU32(const std::uint8_t *p);
+
+/**
  * Atomically replace @p path with @p bytes: write a sibling tmp file
  * (`<path>.tmp.<pid>.<n>`, unique per process and call), fflush +
  * fsync it, then rename it over @p path. On any failure the tmp file

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -19,17 +18,6 @@
 
 namespace bop
 {
-
-Budget
-Budget::fromEnv()
-{
-    Budget b;
-    if (const char *w = std::getenv("BOP_WARMUP"))
-        b.warmup = std::strtoull(w, nullptr, 10);
-    if (const char *m = std::getenv("BOP_INSTR"))
-        b.measure = std::strtoull(m, nullptr, 10);
-    return b;
-}
 
 SystemConfig
 baselineConfig(int cores, PageSize page)
@@ -126,35 +114,6 @@ ExperimentRunner::prefixKey(const std::string &benchmark,
            std::to_string(b.warmup);
 }
 
-bool
-ExperimentRunner::sharingFromEnv()
-{
-    const char *v = std::getenv("BOP_CKPT_SHARE");
-    return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
-
-double
-ExperimentRunner::timeoutFromEnv()
-{
-    const char *v = std::getenv("BOP_JOB_TIMEOUT");
-    return v != nullptr ? std::strtod(v, nullptr) : 0.0;
-}
-
-int
-ExperimentRunner::retriesFromEnv()
-{
-    const char *v = std::getenv("BOP_RETRIES");
-    const int n = v != nullptr ? std::atoi(v) : 0;
-    return n < 0 ? 0 : n;
-}
-
-std::string
-ExperimentRunner::ckptDirFromEnv()
-{
-    const char *v = std::getenv("BOP_CKPT_DIR");
-    return v != nullptr ? v : "";
-}
-
 std::string
 ExperimentRunner::cacheEntryPath(const std::string &pkey) const
 {
@@ -204,8 +163,7 @@ ExperimentRunner::loadCacheEntry(const std::string &pkey,
         throw CheckpointError("checkpoint-cache entry '" + path +
                                   "' has bad magic",
                               0);
-    std::uint32_t keyLen = 0;
-    std::memcpy(&keyLen, bytes.data() + sizeof cacheMagic, 4);
+    const std::uint32_t keyLen = getU32(bytes.data() + sizeof cacheMagic);
     const std::size_t keyOff = sizeof cacheMagic + 4;
     if (keyLen > bytes.size() - keyOff)
         throw CheckpointError("checkpoint-cache entry '" + path +
@@ -239,13 +197,12 @@ ExperimentRunner::saveCacheEntry(
 {
     ::mkdir(ckptDir.c_str(), 0777); // best effort; EEXIST is fine
     const std::string path = cacheEntryPath(pkey);
-    const auto keyLen = static_cast<std::uint32_t>(pkey.size());
-    std::vector<std::uint8_t> entry(cacheMagic,
-                                    cacheMagic + sizeof cacheMagic);
-    const auto *keyLenBytes = reinterpret_cast<const std::uint8_t *>(&keyLen);
-    entry.insert(entry.end(), keyLenBytes, keyLenBytes + 4);
-    entry.insert(entry.end(), pkey.begin(), pkey.end());
-    entry.insert(entry.end(), container.begin(), container.end());
+    std::vector<std::uint8_t> entry;
+    entry.reserve(sizeof cacheMagic + 4 + pkey.size() + container.size());
+    appendBytes(entry, cacheMagic, sizeof cacheMagic);
+    putU32(entry, static_cast<std::uint32_t>(pkey.size()));
+    appendBytes(entry, pkey.data(), pkey.size());
+    appendBytes(entry, container.data(), container.size());
     // Atomic publish: the entry appears under its final name only
     // complete and fsynced, so a crashed writer leaves nothing a
     // reader could mistake for a checkpoint.
@@ -420,7 +377,7 @@ ExperimentRunner::simulateRecord(const std::string &benchmark,
                 throwInjected();
                 std::vector<std::uint8_t> warm;
                 if (!ckptDir.empty()) {
-                    // Disk-backed prefix cache (BOP_CKPT_DIR): another
+                    // Disk-backed prefix cache (setCheckpointDir()): another
                     // process may have paid this warmup already.
                     // Validate-before-apply: a refused entry leaves
                     // the System untouched, so the cold-warmup
@@ -470,7 +427,7 @@ ExperimentRunner::simulateRecord(const std::string &benchmark,
     if (share_warmup)
         record.checkpoint = "warm-shared";
 
-    if (std::getenv("BOP_VERBOSE")) {
+    if (verbose) {
         std::fprintf(stderr, "  [run] %-16s %-44s IPC=%.3f\n",
                      benchmark.c_str(), cfg.describe().c_str(),
                      stats.ipc());

@@ -5,9 +5,10 @@
  * Provides the paper's six baseline configurations (1/2/4 active cores
  * x 4KB/4MB pages, Sec. 5.1), workload/trace assembly (core 0 runs the
  * benchmark; other active cores run the cache-thrashing
- * micro-benchmark), instruction budgets (overridable through the
- * BOP_WARMUP / BOP_INSTR environment variables), and a memoising runner
- * so figures that share baselines do not re-simulate them.
+ * micro-benchmark), instruction budgets, and a memoising runner so
+ * figures that share baselines do not re-simulate them. The runner
+ * takes only explicit settings; the front ends read the BOP_*
+ * environment variables (harness/job_fields.hh) and pass them in.
  *
  * The runner is thread-safe: the sweep farm (sweep_farm.hh) and the
  * `bopsim --serve` front end call it from worker threads. A single
@@ -43,9 +44,6 @@ struct Budget
 {
     std::uint64_t warmup = 100000;
     std::uint64_t measure = 400000;
-
-    /** Defaults overridden by BOP_WARMUP / BOP_INSTR. */
-    static Budget fromEnv();
 };
 
 /**
@@ -92,10 +90,8 @@ makeTraces(const std::string &benchmark, const SystemConfig &cfg);
 class ExperimentRunner
 {
   public:
-    explicit ExperimentRunner(Budget budget_ = Budget::fromEnv())
-        : budget(budget_), shareWarmup(sharingFromEnv()),
-          jobTimeout(timeoutFromEnv()), retries_(retriesFromEnv()),
-          ckptDir(ckptDirFromEnv())
+    explicit ExperimentRunner(Budget budget_ = Budget{})
+        : budget(budget_)
     {
     }
 
@@ -136,8 +132,7 @@ class ExperimentRunner
      * measurement boundary, later arrivals restore it and only pay
      * the measurement window. Bit-identity of checkpoint restore
      * (tests/test_checkpoint.cc) guarantees the resulting stats equal
-     * a cold run's. Default: off, or the BOP_CKPT_SHARE environment
-     * variable (unset/"0" = off, anything else = on).
+     * a cold run's. Default: off.
      */
     void setCheckpointSharing(bool on) { shareWarmup = on; }
     bool checkpointSharing() const { return shareWarmup; }
@@ -146,15 +141,14 @@ class ExperimentRunner
      * Per-job wall-clock deadline in seconds (0 = none). A job still
      * simulating past it throws JobTimeout, which the farm/serve
      * layers convert into a per-job error record while the rest of
-     * the batch keeps running. Default: off, or BOP_JOB_TIMEOUT
-     * seconds; `bopsim --serve --job-timeout` sets it per session.
+     * the batch keeps running. Default: off.
      */
     void setJobTimeout(double seconds) { jobTimeout = seconds; }
     double jobTimeoutSeconds() const { return jobTimeout; }
 
     /**
-     * Bounded retry for transient failures (`--retries N` /
-     * BOP_RETRIES): runJob() re-runs a job whose error kind is
+     * Bounded retry for transient failures (`--retries N`; default
+     * 0): runJob() re-runs a job whose error kind is
      * transient (transientFaultKind(), currently "io") in place, up
      * to N more times, sleeping 50 ms * 2^(attempt-2) before attempt
      * `attempt`; records carry the final `attempts` count.
@@ -207,17 +201,21 @@ class ExperimentRunner
     }
 
     /**
-     * Disk-backed checkpoint cache directory (BOP_CKPT_DIR): shared
+     * Disk-backed checkpoint cache directory: shared
      * warmup prefixes are persisted atomically (tmp+fsync+rename)
      * under their (workload, config fingerprint, warmup budget) key
      * and reloaded across processes — the in-memory warmup-prefix
      * latch, promoted to disk. Corrupt or mismatched entries are
      * refused (validate-before-apply, byte-offset diagnostics) and
      * fall back to a cold warmup that overwrites the entry. Empty
-     * disables. Only consulted when checkpoint sharing is on.
+     * disables (the default). Only consulted when checkpoint sharing
+     * is on.
      */
     void setCheckpointDir(const std::string &dir) { ckptDir = dir; }
     const std::string &checkpointDir() const { return ckptDir; }
+
+    /** Print one progress line per simulation to stderr (default off). */
+    void setVerbose(bool on) { verbose = on; }
 
     /**
      * Warmup prefixes actually simulated so far (each shared prefix
@@ -349,18 +347,6 @@ class ExperimentRunner
                                  const SystemConfig &cfg,
                                  const Budget &b);
 
-    /** BOP_CKPT_SHARE default: unset or "0" = off. */
-    static bool sharingFromEnv();
-
-    /** BOP_JOB_TIMEOUT seconds, 0 when unset. */
-    static double timeoutFromEnv();
-
-    /** BOP_RETRIES, 0 when unset. */
-    static int retriesFromEnv();
-
-    /** BOP_CKPT_DIR, empty when unset. */
-    static std::string ckptDirFromEnv();
-
     /**
      * Find-or-claim-or-wait latch over one memo table (the run memo
      * and the warmup-prefix cache both use it): returns the value
@@ -395,10 +381,11 @@ class ExperimentRunner
     std::string cacheEntryPath(const std::string &pkey) const;
 
     Budget budget;
-    bool shareWarmup = false;  ///< ctor reads BOP_CKPT_SHARE
-    double jobTimeout = 0.0;   ///< ctor reads BOP_JOB_TIMEOUT
-    int retries_ = 0;          ///< ctor reads BOP_RETRIES
-    std::string ckptDir;       ///< ctor reads BOP_CKPT_DIR
+    bool shareWarmup = false;
+    double jobTimeout = 0.0;
+    int retries_ = 0;
+    std::string ckptDir;
+    bool verbose = false;
 
     mutable std::mutex m;
     /** shareOnce() publication. Mutable: simulateRecord() is const

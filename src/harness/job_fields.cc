@@ -3,9 +3,11 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "harness/bench_diff.hh"
 #include "trace/workloads.hh"
@@ -201,6 +203,14 @@ setNumber(const JobField &field, JobSpec &job, const std::string &text)
     return {};
 }
 
+/** Environment variable @p name, or nullptr when unset or empty. */
+const char *
+envValue(const char *name)
+{
+    const char *value = std::getenv(name);
+    return value && *value ? value : nullptr;
+}
+
 bool
 knownBenchmark(const std::string &name)
 {
@@ -296,6 +306,59 @@ parseIntOption(const std::string &name, const std::string &text,
             name + " must be an integer in [" + std::to_string(lo) + ", " +
             std::to_string(hi) + "], got '" + text + "'");
     return value;
+}
+
+double
+parseSecondsOption(const std::string &name, const std::string &text)
+{
+    constexpr double maxSeconds = 1e9;
+    double value = 0.0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    // The range test also refuses "nan" and "inf", which from_chars
+    // accepts.
+    if (ec != std::errc() || ptr != end ||
+        !(value >= 0.0 && value <= maxSeconds))
+        throw std::invalid_argument(
+            name + " must be a number of seconds in [0, 1e9], got '" +
+            text + "'");
+    return value;
+}
+
+EnvSettings
+readEnvSettings(FrontEnd reader)
+{
+    EnvSettings s;
+    const auto number = [](const char *name, Int lo, Int hi, auto &field) {
+        if (const char *value = envValue(name))
+            field = static_cast<std::remove_reference_t<decltype(field)>>(
+                parseIntOption(name, value, lo, hi));
+    };
+    // The variables: name, accepted range, setting.
+    if (reader == FrontEnd::Bench) {
+        number("BOP_WARMUP", 0, countMax, s.budget.warmup);
+        number("BOP_INSTR", 0, countMax, s.budget.measure);
+        number("BOP_SWEEP_STEP", 1, 256, s.sweepStep);
+    }
+    number("BOP_JOBS", 1, intMax, s.jobs);
+    number("BOP_RETRIES", 0, intMax, s.retries);
+    number("BOP_CKPT_SHARE", 0, 1, s.ckptShare);
+    number("BOP_VERBOSE", 0, 1, s.verbose);
+    if (const char *value = envValue("BOP_JOB_TIMEOUT"))
+        s.jobTimeout = parseSecondsOption("BOP_JOB_TIMEOUT", value);
+    if (const char *value = envValue("BOP_CKPT_DIR"))
+        s.ckptDir = value;
+    return s;
+}
+
+void
+configureRunner(ExperimentRunner &runner, const EnvSettings &settings)
+{
+    runner.setCheckpointSharing(settings.ckptShare);
+    runner.setCheckpointDir(settings.ckptDir);
+    runner.setJobTimeout(settings.jobTimeout);
+    runner.setRetries(settings.retries);
+    runner.setVerbose(settings.verbose);
 }
 
 } // namespace bop

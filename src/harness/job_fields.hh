@@ -1,8 +1,9 @@
 /**
  * @file
- * The job vocabulary: one field table that sets a JobSpec, shared by
- * bopsim's command-line flags and `bopsim --serve` job lines so the
- * two front ends cannot drift apart.
+ * The front ends' configuration surface. One field table sets a
+ * JobSpec, shared by bopsim's command-line flags and `bopsim --serve`
+ * job lines so the two cannot drift apart; a second table reads the
+ * BOP_* environment variables for bopsim and the figure benches.
  *
  *   job-line field   bopsim flag        sets
  *   workload         --workload NAME    JobSpec::benchmark
@@ -75,6 +76,51 @@ bool parseJobFlag(int argc, char **argv, int &i, JobSpec &job);
 std::int64_t parseIntOption(const std::string &name,
                             const std::string &text, std::int64_t lo,
                             std::int64_t hi);
+
+/**
+ * A wall-clock duration in seconds: @p text must be a plain decimal
+ * number (fractions allowed) in [0, 1e9]. Throws std::invalid_argument
+ * naming @p name otherwise.
+ */
+double parseSecondsOption(const std::string &name, const std::string &text);
+
+/**
+ * The settings the BOP_* environment variables carry. A front end
+ * reads them once at startup (readEnvSettings()), lets its own flags
+ * override them, and hands the runner-wide ones to its runner
+ * (configureRunner()); the libraries never read the environment.
+ * Variables, ranges and readers: readEnvSettings() in job_fields.cc,
+ * documented in README "Environment variables".
+ */
+struct EnvSettings
+{
+    Budget budget;           ///< BOP_WARMUP, BOP_INSTR
+    int jobs = 1;            ///< BOP_JOBS: farm / serve workers
+    int retries = 0;         ///< BOP_RETRIES: transient-failure retries
+    double jobTimeout = 0.0; ///< BOP_JOB_TIMEOUT seconds, 0 = none
+    bool ckptShare = false;  ///< BOP_CKPT_SHARE: prefix sharing
+    std::string ckptDir;     ///< BOP_CKPT_DIR: disk cache, "" = none
+    bool verbose = false;    ///< BOP_VERBOSE: stderr line per run
+    int sweepStep = 2;       ///< BOP_SWEEP_STEP: fig08 offset stride
+};
+
+/** Which front end reads the environment. */
+enum class FrontEnd
+{
+    Bopsim, ///< takes budgets from --warmup/--instr, has no sweep
+    Bench
+};
+
+/**
+ * Read the BOP_* variables @p reader honours over the defaults (an
+ * empty value means unset). Throws std::invalid_argument naming the
+ * variable when a value is malformed or out of range.
+ */
+EnvSettings readEnvSettings(FrontEnd reader);
+
+/** Give @p runner the runner-wide settings: sharing, checkpoint
+ *  directory, job timeout, retries and progress output. */
+void configureRunner(ExperimentRunner &runner, const EnvSettings &settings);
 
 } // namespace bop
 

@@ -290,8 +290,8 @@ ResultJournal::open(const std::string &path, std::uint64_t warmup,
                     "journal: budget mismatch appending to '" + path +
                     "': header is " + payload + " but this run uses " +
                     headerPayload(warmup, measure) +
-                    " — refusing (set BOP_WARMUP/BOP_INSTR to match or "
-                    "start a fresh journal)");
+                    " — refusing (set the budgets to match or start a "
+                    "fresh journal)");
             needHeader = false;
         }
     }

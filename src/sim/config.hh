@@ -140,10 +140,8 @@ struct SystemConfig
      * cycles in which no component can possibly act (every component
      * reports a nextEventAt horizon and the step takes the minimum).
      * Provably cycle-exact — all simulated statistics and cycle counts
-     * are bit-identical with this off — so it is a pure speed knob.
-     * The BOP_DISABLE_FASTFORWARD environment variable (any non-empty
-     * value except "0") forces it off at System construction, which is
-     * how CI exercises the exactness gate.
+     * are bit-identical with this off — so it is a pure speed knob
+     * (`bopsim --no-fast-forward` turns it off).
      */
     bool fastForward = true;
 
@@ -162,9 +160,8 @@ struct SystemConfig
      * on a fixed pool of this many workers, with cross-shard hand-offs
      * exchanged only at the epoch barriers — simulated statistics and
      * cycle counts are bit-identical for every value. 1 (the default)
-     * runs today's serial path with no pool at all. The BOP_THREADS
-     * environment variable (a positive integer) overrides this at
-     * System construction. Deliberately NOT part of describe():
+     * runs today's serial path with no pool at all (`bopsim --threads
+     * N`, the `threads` job field). Deliberately NOT part of describe():
      * thread count is a host-side speed knob, not a configuration.
      */
     int numThreads = 1;

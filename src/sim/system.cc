@@ -1,8 +1,6 @@
 #include "sim/system.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -13,27 +11,6 @@ namespace bop
 
 namespace
 {
-
-/** BOP_DISABLE_FASTFORWARD set to anything but "" or "0" forces the
- *  per-cycle reference loop (CI's exactness gate). */
-bool
-fastForwardDisabledByEnv()
-{
-    const char *v = std::getenv("BOP_DISABLE_FASTFORWARD");
-    return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
-/** BOP_THREADS set to a positive integer overrides cfg.numThreads
- *  (host-side speed knob; simulated results are identical). */
-int
-threadsFromEnv(int cfg_threads)
-{
-    const char *v = std::getenv("BOP_THREADS");
-    if (v == nullptr || v[0] == '\0')
-        return cfg_threads;
-    const int n = std::atoi(v);
-    return n >= 1 ? n : cfg_threads;
-}
 
 /**
  * Run @p fn over a phase's @p items: on @p pool when @p busy (the items
@@ -91,9 +68,7 @@ deltaStats(const RunStats &end, const RunStats &begin)
 
 System::System(const SystemConfig &cfg_,
                std::vector<std::unique_ptr<TraceSource>> traces_)
-    : cfg(cfg_.resolved()), traces(std::move(traces_)), hier(cfg),
-      fastForward(cfg.fastForward && !fastForwardDisabledByEnv()),
-      threads(std::min(threadsFromEnv(cfg.numThreads), 64))
+    : cfg(cfg_.resolved()), traces(std::move(traces_)), hier(cfg)
 {
     if (static_cast<int>(traces.size()) != cfg.activeCores) {
         throw std::invalid_argument(
@@ -112,7 +87,7 @@ System::System(const SystemConfig &cfg_,
     // that would only ever park, and farm jobs running many Systems
     // at once would multiply the idle threads.
     const int widest = std::max(cfg.activeCores, cfg.numChannels);
-    const int workers = std::min(threads, widest);
+    const int workers = std::min(cfg.numThreads, widest);
     if (workers > 1) {
         pool = std::make_unique<WorkerPool>(
             static_cast<unsigned>(workers));
@@ -152,7 +127,7 @@ System::nextEventCycle()
 void
 System::step()
 {
-    if (!fastForward) {
+    if (!cfg.fastForward) {
         // Reference semantics: tick everything, every cycle.
         ++now;
         if (pool) {

@@ -123,8 +123,8 @@ class System
      * happen. With fast-forward enabled (the default) that is the
      * event-horizon minimum over all components — the clock may jump
      * by more than one cycle over provably idle stretches, with
-     * bit-identical simulated statistics; with it disabled (config or
-     * BOP_DISABLE_FASTFORWARD) exactly one cycle.
+     * bit-identical simulated statistics; with it disabled
+     * (cfg.fastForward = false) exactly one cycle.
      */
     void step();
 
@@ -138,16 +138,15 @@ class System
     Cycle nextEventCycle();
 
     /** True when event-horizon fast-forward is active for this run. */
-    bool fastForwardEnabled() const { return fastForward; }
+    bool fastForwardEnabled() const { return cfg.fastForward; }
 
     /**
-     * Worker threads requested for this System (cfg.numThreads,
-     * possibly overridden by BOP_THREADS). 1 = the serial path, no
-     * pool. The pool itself is capped at the widest phase —
+     * Worker threads requested for this System (cfg.numThreads).
+     * 1 = the serial path, no pool. The pool itself is capped at the widest phase —
      * max(active cores, channels) workers — since workers beyond it
      * would never receive an item; see poolWorkers().
      */
-    int threadCount() const { return threads; }
+    int threadCount() const { return cfg.numThreads; }
 
     /** Workers the epoch pool actually runs (1 = no pool). */
     int poolWorkers() const
@@ -234,8 +233,6 @@ class System
     MemHierarchy hier;
     std::vector<std::unique_ptr<CoreModel>> cores;
     Cycle now = 0;
-    bool fastForward = true; ///< cfg.fastForward minus the env override
-    int threads = 1;         ///< cfg.numThreads with BOP_THREADS applied
     std::unique_ptr<WorkerPool> pool; ///< null when one worker suffices
     std::vector<char> coreDue; ///< per-core due flags for stepParallel
     EpochCounters epochs;

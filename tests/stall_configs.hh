@@ -28,6 +28,7 @@
 #define BOP_TESTS_STALL_CONFIGS_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -81,6 +82,13 @@ pileupTraces(const SystemConfig &cfg)
         traces.push_back(std::make_unique<SyntheticTrace>(
             w, 3 + static_cast<std::uint64_t>(c)));
     return traces;
+}
+
+/** Traces for @p bench, or the channel pile-up streams for "pileup". */
+inline std::vector<std::unique_ptr<TraceSource>>
+tracesFor(const std::string &bench, const SystemConfig &cfg)
+{
+    return bench == "pileup" ? pileupTraces(cfg) : makeTraces(bench, cfg);
 }
 
 } // namespace bop

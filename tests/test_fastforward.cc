@@ -50,13 +50,6 @@ struct RunOutcome
     EpochCounters engine;
 };
 
-/** Traces for @p bench, or the channel pile-up streams for "pileup". */
-std::vector<std::unique_ptr<TraceSource>>
-tracesFor(const std::string &bench, const SystemConfig &cfg)
-{
-    return bench == "pileup" ? pileupTraces(cfg) : makeTraces(bench, cfg);
-}
-
 RunOutcome
 runBench(const std::string &bench, SystemConfig cfg, bool fast_forward,
          std::uint64_t warmup, std::uint64_t measure)
@@ -174,17 +167,12 @@ TEST(FastForwardStalls, LatchEngagesOnFourCoreLibquantum)
     EXPECT_EQ(off.engine.skippedCycles + off.engine.stalledSkips, 0u);
 }
 
-TEST(FastForwardEquivalence, EnvOverrideDisables)
+TEST(FastForwardEquivalence, ConfigSwitchDisables)
 {
     SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
     ASSERT_TRUE(cfg.fastForward) << "fast-forward defaults on";
-    ::setenv("BOP_DISABLE_FASTFORWARD", "1", 1);
-    System forced(cfg, makeTraces("470.lbm", cfg));
-    EXPECT_FALSE(forced.fastForwardEnabled());
-    ::setenv("BOP_DISABLE_FASTFORWARD", "0", 1);
-    System zero(cfg, makeTraces("470.lbm", cfg));
-    EXPECT_TRUE(zero.fastForwardEnabled()) << "\"0\" means not disabled";
-    ::unsetenv("BOP_DISABLE_FASTFORWARD");
+    System on(cfg, makeTraces("470.lbm", cfg));
+    EXPECT_TRUE(on.fastForwardEnabled());
     cfg.fastForward = false;
     System off(cfg, makeTraces("470.lbm", cfg));
     EXPECT_FALSE(off.fastForwardEnabled()) << "config switch";

@@ -86,14 +86,5 @@ TEST(Harness, GeomeanSpeedupAggregates)
     EXPECT_LT(g, 2.0);
 }
 
-TEST(Harness, BudgetFromEnvDefaults)
-{
-    // Without env overrides the defaults apply (do not set env here,
-    // to keep the test hermetic under parallel ctest).
-    const Budget b;
-    EXPECT_EQ(b.warmup, 100000u);
-    EXPECT_EQ(b.measure, 400000u);
-}
-
 } // namespace
 } // namespace bop

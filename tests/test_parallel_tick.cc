@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,6 +19,7 @@
 #include "sim/mem_hierarchy.hh"
 #include "sim/system.hh"
 #include "stall_configs.hh"
+#include "trace/generators.hh"
 #include "trace/workloads.hh"
 
 namespace bop
@@ -26,28 +27,14 @@ namespace bop
 namespace
 {
 
-/**
- * Every case here sets its thread counts explicitly. A BOP_THREADS in
- * the environment (the TSan CI job exports one for the other suites)
- * would override them all, serial reference included, and collapse
- * each comparison into threads-N against itself.
- */
-class ClearThreadsEnv : public ::testing::Environment
-{
-  public:
-    void SetUp() override { unsetenv("BOP_THREADS"); }
-};
-
-[[maybe_unused]] ::testing::Environment *const clearThreadsEnv =
-    ::testing::AddGlobalTestEnvironment(new ClearThreadsEnv);
-
+/** @p bench on @p cfg at @p threads workers ("pileup": pileupTraces). */
 RunStats
 runWith(SystemConfig cfg, const std::string &bench, int threads,
         std::uint64_t warm = 2000, std::uint64_t measure = 10000,
         EpochCounters *epochs = nullptr)
 {
     cfg.numThreads = threads;
-    System sys(cfg, makeTraces(bench, cfg));
+    System sys(cfg, tracesFor(bench, cfg));
     EXPECT_EQ(sys.threadCount(), threads);
     const RunStats stats = sys.run(warm, measure);
     if (epochs)
@@ -217,21 +204,73 @@ TEST(ParallelTick, StallHeavyMatchesSerial)
     // The stall latch's progress flags are written from the parallel
     // phases (per side, per channel) and merged at commitEgress; on
     // designs where most uncore ticks are skipped as stalled, threads
-    // 4 must still retrace the serial schedule exactly.
-    for (const int cores : {4, 16}) {
-        const SystemConfig cfg = shrunkQueues(cores);
-        const std::uint64_t warm = cores == 4 ? 5000 : 1000;
-        const std::uint64_t measure = cores == 4 ? 20000 : 4000;
+    // 4 must still retrace the serial schedule exactly. The channel
+    // pile-up also parks channels (l3ChannelStalls) from the parallel
+    // per-channel phase.
+    struct StallCase
+    {
+        SystemConfig cfg;
+        std::string bench;
+        std::uint64_t warm, measure;
+    };
+    const StallCase cases[] = {
+        {shrunkQueues(4), "429.mcf", 5000, 20000},
+        {shrunkQueues(16), "429.mcf", 1000, 4000},
+        {channelPileup(), "pileup", 0, 10000},
+    };
+    for (const StallCase &c : cases) {
+        const std::string label = c.bench + " " + c.cfg.describe();
         EpochCounters epochs;
         const RunStats serial =
-            runWith(cfg, "429.mcf", 1, warm, measure, &epochs);
-        EXPECT_GT(epochs.stalledSkips, 0u) << cores << " cores";
+            runWith(c.cfg, c.bench, 1, c.warm, c.measure, &epochs);
+        EXPECT_GT(epochs.stalledSkips, 0u) << label;
         const RunStats parallel =
-            runWith(cfg, "429.mcf", 4, warm, measure, &epochs);
-        expectStatsEqual(parallel, serial,
-                         "429.mcf " + cfg.describe() + " threads=4");
-        EXPECT_GT(epochs.stalledSkips, 0u) << cores << " cores";
+            runWith(c.cfg, c.bench, 4, c.warm, c.measure, &epochs);
+        expectStatsEqual(parallel, serial, label + " threads=4");
+        EXPECT_GT(epochs.stalledSkips, 0u) << label;
+        if (c.bench == "pileup")
+            EXPECT_GT(serial.l3ChannelStalls, 0u) << label;
     }
+}
+
+TEST(ParallelTick, EveryPrefetcherTwoCoreMatchesSerial)
+{
+    // The zoo's two-core contention shape (a sequential stream on core
+    // 0, the thrasher on core 1) for every L2 prefetcher kind: each
+    // prefetcher's state is touched from the parallel per-core phase,
+    // so threads 4 must retrace the serial run for all of them.
+    WorkloadSpec stream;
+    stream.name = "zoo-stream";
+    stream.memFraction = 0.5;
+    stream.branchFraction = 0.0;
+    stream.depFraction = 0.3;
+    stream.streams = {StreamSpec{}};
+    stream.streams[0].regionBytes = 32ull << 20;
+    stream.streams[0].stepBytes = 8;
+    std::uint64_t pooled = 0;
+    const auto run = [&](SystemConfig cfg, int threads) {
+        cfg.numThreads = threads;
+        std::vector<std::unique_ptr<TraceSource>> traces;
+        traces.push_back(std::make_unique<SyntheticTrace>(stream, 3));
+        traces.push_back(makeThrasher(4));
+        System sys(cfg, std::move(traces));
+        const RunStats stats = sys.run(5000, 15000);
+        pooled += sys.epochCounters().pooled;
+        return stats;
+    };
+    for (const L2PrefetcherKind kind :
+         {L2PrefetcherKind::None, L2PrefetcherKind::NextLine,
+          L2PrefetcherKind::FixedOffset, L2PrefetcherKind::BestOffset,
+          L2PrefetcherKind::Sandbox, L2PrefetcherKind::Stream,
+          L2PrefetcherKind::Fdp, L2PrefetcherKind::Acdc,
+          L2PrefetcherKind::StreamBuffer,
+          L2PrefetcherKind::BestOffsetDpc2}) {
+        SystemConfig cfg = baselineConfig(2, PageSize::FourKB);
+        cfg.l2Prefetcher = kind;
+        expectStatsEqual(run(cfg, 4), run(cfg, 1),
+                         cfg.describe() + " threads=4");
+    }
+    EXPECT_GT(pooled, 0u) << "no per-event epoch reached the pool";
 }
 
 TEST(ParallelTick, PoolCappedAtWidestPhase)
@@ -262,17 +301,6 @@ TEST(ParallelTick, PoolCappedAtWidestPhase)
     System wide(cfg, makeTraces("456.hmmer", cfg));
     EXPECT_EQ(wide.threadCount(), 64);
     EXPECT_EQ(wide.poolWorkers(), 16);
-}
-
-TEST(ParallelTick, ThreadsEnvOverride)
-{
-    // BOP_THREADS overrides the config knob (CI's TSan job uses it to
-    // force the pool onto every binary without plumbing flags).
-    setenv("BOP_THREADS", "3", 1);
-    SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
-    System sys(cfg, makeTraces("456.hmmer", cfg));
-    unsetenv("BOP_THREADS");
-    EXPECT_EQ(sys.threadCount(), 3);
 }
 
 TEST(ParallelTick, ThreadCountValidated)

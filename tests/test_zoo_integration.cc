@@ -3,8 +3,9 @@
  * End-to-end integration sweep of the full prefetcher zoo through the
  * simulated system: every prefetcher kind x page size runs to
  * completion, respects the accounting invariants, is deterministic,
- * and the trained/feedback prefetchers actually profit from a
- * sequential stream (not just "don't crash").
+ * the trained/feedback prefetchers actually profit from a sequential
+ * stream (not just "don't crash"), and the event-horizon fast-forward
+ * engine matches the tick-every-cycle reference engine exactly.
  */
 
 #include <gtest/gtest.h>
@@ -38,9 +39,11 @@ streamTrace(std::uint64_t seed)
 
 RunStats
 runStream(L2PrefetcherKind kind, PageSize page, std::uint64_t seed = 5,
-          std::uint64_t warm = 30000, std::uint64_t meas = 60000)
+          std::uint64_t warm = 30000, std::uint64_t meas = 60000,
+          bool fastForward = true)
 {
     SystemConfig cfg;
+    cfg.fastForward = fastForward;
     cfg.activeCores = 1;
     cfg.pageSize = page;
     cfg.l2Prefetcher = kind;
@@ -95,6 +98,20 @@ TEST_P(ZooIntegration, PrefetchingProfitsOnSequentialStream)
     // least not lose to no-prefetch; the useful count must be material.
     EXPECT_GT(s.l2PrefUseful(), 100u);
     EXPECT_GT(s.ipc(), none.ipc() * 0.98);
+}
+
+TEST_P(ZooIntegration, ReferenceEngineBitIdentical)
+{
+    // Fast-forward jumps the clock over cycles in which no component
+    // can act; every counter must equal the reference engine's, which
+    // ticks every cycle.
+    const auto [kind, page] = GetParam();
+    const RunStats fast = runStream(kind, page);
+    const RunStats reference = runStream(kind, page, 5, 30000, 60000, false);
+    EXPECT_EQ(fast.cycles, reference.cycles);
+    EXPECT_TRUE(fast == reference)
+        << "a counter diverged between the fast-forward and reference "
+           "engines";
 }
 
 std::string

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -84,14 +85,14 @@ usage(const char *argv0)
         "                      from stdin, stream one run record back\n"
         "                      per job as it completes; see README\n"
         "                      \"Sweep farm & serve mode\"\n"
-        "  --jobs N            worker threads for --serve (default 1;\n"
-        "                      also BOP_JOBS=N)\n"
+        "  --jobs N            worker threads for --serve (default\n"
+        "                      BOP_JOBS or 1)\n"
         "  --backlog N         max in-flight jobs before the stdin\n"
         "                      reader blocks (default 4*jobs)\n"
         "  --job-timeout SEC   per-job wall-clock deadline; a job still\n"
         "                      simulating past it answers with an error\n"
         "                      record instead of stalling the batch\n"
-        "                      (default off; also BOP_JOB_TIMEOUT=SEC)\n"
+        "                      (default BOP_JOB_TIMEOUT or off)\n"
         "                      SIGINT/SIGTERM drain gracefully: no new\n"
         "                      lines accepted, in-flight jobs answer\n"
         "  --journal FILE      append every committed record to a\n"
@@ -119,11 +120,10 @@ usage(const char *argv0)
         "  --seed S            run seed (default 42)\n"
         "  --no-fast-forward   tick every cycle (reference engine; the\n"
         "                      simulated stats are bit-identical either\n"
-        "                      way — also BOP_DISABLE_FASTFORWARD=1)\n"
+        "                      way)\n"
         "  --threads N         worker threads for the tick engine\n"
         "                      (default 1 = serial; stats are\n"
-        "                      bit-identical for every N — also\n"
-        "                      BOP_THREADS=N)\n"
+        "                      bit-identical for every N)\n"
         "  --json PATH         write a machine-readable run record\n",
         argv0);
 }
@@ -160,83 +160,76 @@ main(int argc, char **argv)
     std::uint64_t skip = 0;
     std::uint64_t sample = 0;
     bool serve = false;
-    int jobs = 1;
     std::size_t backlog = 0;
-    double job_timeout = -1.0; ///< <0 = not given; BOP_JOB_TIMEOUT rules
     std::string journal_path;
     std::string resume_path;
-    int retries = -1; ///< <0 = not given; BOP_RETRIES rules
-    // Worker counts and retry limits: whole integers in range, or a
-    // refusal naming the option (never a silent serial run).
-    auto int_option = [](const std::string &name, const std::string &text,
-                         int lo) {
-        try {
-            return static_cast<int>(parseIntOption(
-                name, text, lo, std::numeric_limits<int>::max()));
-        } catch (const std::invalid_argument &e) {
-            die(e.what());
-        }
-    };
-    if (const char *j = std::getenv("BOP_JOBS"); j && *j)
-        jobs = int_option("BOP_JOBS", j, 1);
+    bool retries_given = false;
+    EnvSettings settings; ///< BOP_* defaults, overridden by the flags
 
     auto next_arg = [&](int &i) -> std::string {
         if (i + 1 >= argc)
             die(std::string(argv[i]) + " needs an argument");
         return argv[++i];
     };
-    // The job vocabulary (--workload, --prefetcher, --cores, ...,
-    // --warmup, --instr) shared with --serve job lines.
-    auto job_flag = [&](int &i) {
-        try {
-            return parseJobFlag(argc, argv, i, job);
-        } catch (const std::invalid_argument &e) {
-            die(e.what());
-        }
+    // A number out of range or malformed is refused naming the option
+    // or variable: never a silent default, truncation or clamp.
+    auto int_arg = [&](int &i, std::int64_t lo, std::int64_t hi) {
+        const std::string name = argv[i];
+        return parseIntOption(name, next_arg(i), lo, hi);
     };
+    constexpr std::int64_t intMax = std::numeric_limits<int>::max();
+    constexpr std::int64_t countMax =
+        std::numeric_limits<std::int64_t>::max();
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--list") {
-            for (const auto &name : benchmarkNames())
-                std::printf("%s\n", name.c_str());
-            return 0;
-        } else if (arg == "--trace") {
-            trace_file = next_arg(i);
-        } else if (arg == "--skip") {
-            skip = std::strtoull(next_arg(i).c_str(), nullptr, 10);
-        } else if (arg == "--sample") {
-            sample = std::strtoull(next_arg(i).c_str(), nullptr, 10);
-        } else if (arg == "--serve") {
-            serve = true;
-        } else if (arg == "--jobs") {
-            jobs = int_option(arg, next_arg(i), 1);
-        } else if (arg == "--backlog") {
-            backlog = static_cast<std::size_t>(
-                std::strtoull(next_arg(i).c_str(), nullptr, 10));
-        } else if (arg == "--job-timeout") {
-            job_timeout = std::strtod(next_arg(i).c_str(), nullptr);
-        } else if (arg == "--no-fast-forward") {
-            cfg.fastForward = false;
-        } else if (arg == "--save-checkpoint") {
-            save_ckpt = next_arg(i);
-        } else if (arg == "--restore-checkpoint") {
-            restore_ckpt = next_arg(i);
-        } else if (arg == "--json") {
-            json_path = next_arg(i);
-        } else if (arg == "--journal") {
-            journal_path = next_arg(i);
-        } else if (arg == "--resume") {
-            resume_path = next_arg(i);
-        } else if (arg == "--retries") {
-            retries = int_option(arg, next_arg(i), 0);
-        } else if (!job_flag(i)) {
-            usage(argv[0]);
-            die("unknown option '" + arg + "'");
+    try {
+        settings = readEnvSettings(FrontEnd::Bopsim);
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--help" || arg == "-h") {
+                usage(argv[0]);
+                return 0;
+            } else if (arg == "--list") {
+                for (const auto &name : benchmarkNames())
+                    std::printf("%s\n", name.c_str());
+                return 0;
+            } else if (arg == "--trace") {
+                trace_file = next_arg(i);
+            } else if (arg == "--skip") {
+                skip = static_cast<std::uint64_t>(int_arg(i, 0, countMax));
+            } else if (arg == "--sample") {
+                sample = static_cast<std::uint64_t>(int_arg(i, 0, countMax));
+            } else if (arg == "--serve") {
+                serve = true;
+            } else if (arg == "--jobs") {
+                settings.jobs = static_cast<int>(int_arg(i, 1, intMax));
+            } else if (arg == "--backlog") {
+                backlog = static_cast<std::size_t>(int_arg(i, 0, intMax));
+            } else if (arg == "--job-timeout") {
+                settings.jobTimeout = parseSecondsOption(arg, next_arg(i));
+            } else if (arg == "--no-fast-forward") {
+                cfg.fastForward = false;
+            } else if (arg == "--save-checkpoint") {
+                save_ckpt = next_arg(i);
+            } else if (arg == "--restore-checkpoint") {
+                restore_ckpt = next_arg(i);
+            } else if (arg == "--json") {
+                json_path = next_arg(i);
+            } else if (arg == "--journal") {
+                journal_path = next_arg(i);
+            } else if (arg == "--resume") {
+                resume_path = next_arg(i);
+            } else if (arg == "--retries") {
+                settings.retries = static_cast<int>(int_arg(i, 0, intMax));
+                retries_given = true;
+            } else if (!parseJobFlag(argc, argv, i, job)) {
+                // Not in the job vocabulary (--workload, --cores, ...,
+                // --warmup, --instr) shared with --serve job lines.
+                usage(argv[0]);
+                die("unknown option '" + arg + "'");
+            }
         }
+    } catch (const std::invalid_argument &e) {
+        die(e.what());
     }
 
     if (serve) {
@@ -248,10 +241,7 @@ main(int argc, char **argv)
                 "(\"checkpoint\": \"share\"), not via "
                 "--save/--restore-checkpoint");
         ExperimentRunner runner(job.budget);
-        if (job_timeout >= 0.0)
-            runner.setJobTimeout(job_timeout);
-        if (retries >= 0)
-            runner.setRetries(retries);
+        configureRunner(runner, settings);
         try {
             if (!resume_path.empty())
                 runner.resumeFromJournal(resume_path, std::cerr);
@@ -261,7 +251,7 @@ main(int argc, char **argv)
             die(e.what());
         }
         ServeOptions serve_opts;
-        serve_opts.jobs = jobs;
+        serve_opts.jobs = settings.jobs;
         serve_opts.backlog = backlog;
         serve_opts.defaultBudget = job.budget;
         serve_opts.stopRequested = &stop_requested;
@@ -287,7 +277,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (!journal_path.empty() || !resume_path.empty() || retries >= 0)
+    if (!journal_path.empty() || !resume_path.empty() || retries_given)
         die("--journal/--resume/--retries apply to the batch service; "
             "combine them with --serve");
     if (job.benchmark.empty() == trace_file.empty())
